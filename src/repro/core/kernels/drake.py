@@ -1,11 +1,12 @@
 """Drak — Drake & Hamerly's adaptive-bound algorithm (§4.2.2).
 
-Each point stores lower bounds for its b = ⌈k/4⌉ closest non-assigned
-centroids (sorted), plus one bound ``lb_rest`` covering every centroid
-outside the stored list. The cascade: stay if ``ub ≤ bnd[0]``; else
-tighten ub; else compute exact distances to the assigned + b stored
-centroids, which settles the assignment whenever the best distance is
-still below ``lb_rest``; otherwise a full scan rebuilds the list.
+Each point stores lower bounds for its b = min(⌈k/4⌉, k−1) closest
+non-assigned centroids (sorted), plus one bound ``lb_rest`` covering
+every centroid outside the stored list. The cascade: stay if
+``ub ≤ bnd[0]``; else tighten ub; else compute exact distances to the
+assigned + b stored centroids, which settles the assignment whenever the
+best distance is still below ``lb_rest``; otherwise a full scan rebuilds
+the list.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ class DrakeKernel(Kernel):
 
     @staticmethod
     def _b(k: int) -> int:
-        return max(1, min(k - 1, int(np.ceil(k / 4))))
+        return min(k - 1, max(1, int(np.ceil(k / 4))))
 
     def _store_from_full(self, D, st, rows, counters):
         """(Re)build the sorted stored-bound lists from full distance rows."""
@@ -66,7 +67,8 @@ class DrakeKernel(Kernel):
         # Per-centre drift adjustments break the stored sort order and
         # lb_rest can undercut every stored bound, so the stay test uses
         # the row minimum over stored bounds and lb_rest.
-        thr = np.minimum(bnd.min(1), lb_rest)
+        # At k=1 nothing is stored (b=0) and lb_rest alone is the bound.
+        thr = np.minimum(bnd.min(1, initial=np.inf), lb_rest)
         counters.bound_access += n * b
         cand = np.where(ub > thr)[0]
         if len(cand) == 0:

@@ -16,7 +16,7 @@ with ``+``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -33,18 +33,11 @@ class Counters:
     footprint_bytes: int = 0
 
     def __add__(self, other: "Counters") -> "Counters":
-        return Counters(
-            dist=self.dist + other.dist,
-            data_access=self.data_access + other.data_access,
-            bound_access=self.bound_access + other.bound_access,
-            bound_update=self.bound_update + other.bound_update,
-            node_access=self.node_access + other.node_access,
-            assign_time=self.assign_time + other.assign_time,
-            refine_time=self.refine_time + other.refine_time,
-            # Footprint is a gauge, not a flow: take the max when merging
-            # partitions so the reported value is peak state size.
-            footprint_bytes=max(self.footprint_bytes, other.footprint_bytes),
-        )
+        merged = {f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
+        # Footprint is a gauge, not a flow: take the max when merging
+        # partitions so the reported value is peak state size.
+        merged["footprint_bytes"] = max(self.footprint_bytes, other.footprint_bytes)
+        return Counters(**merged)
 
     def work_units(self, d: int) -> float:
         """Scalar-execution cost model (see EXPERIMENTS.md § Timing).
@@ -70,15 +63,3 @@ class Counters:
         """Fraction of the n·k·iters Lloyd distance grid that was avoided."""
         full = n * k * max(1, iters)
         return max(0.0, 1.0 - self.dist / full)
-
-    def as_dict(self) -> dict:
-        return {
-            "dist": self.dist,
-            "data_access": self.data_access,
-            "bound_access": self.bound_access,
-            "bound_update": self.bound_update,
-            "node_access": self.node_access,
-            "assign_time": self.assign_time,
-            "refine_time": self.refine_time,
-            "footprint_bytes": self.footprint_bytes,
-        }

@@ -1,19 +1,20 @@
 """Drive k-means iterations over a kernel: locally or on Spark.
 
-Both runners share the same protocol (§5.1.2 incremental refinement):
+One driver loop (:func:`_drive`) serves both runners and follows the
+paper's refinement protocol (§5.1.2):
 
 1. Build the per-iteration :class:`IterCtx` on the driver (centroid
-   drifts, cc-matrix, groups, …) and broadcast it.
-2. Each partition runs ``kernel.assign`` over its cached block and
-   incrementally updates its per-cluster sum vectors/counts with only
-   the points that changed cluster (the paper's sum-vector refinement —
-   no second pass over the data).
-3. Per-cluster partials are merged — on Spark via ``reduceByKey`` — and
-   the driver divides sum vectors by counts to refine the centroids.
+   drifts, cc-matrix, groups, …).
+2. Each block of points runs ``kernel.assign``, then updates its
+   per-cluster sum vectors and counts with only the points that changed
+   cluster (no second pass over the data), and returns a copy of its
+   dense ``(k, d+1)`` sum+count array with its counters.
+3. The driver sums the partials in block order and divides sum vectors
+   by counts to refine the centroids.
 
-``SparkRunner`` keeps points + bound state in a cached RDD of partition
-payloads, maps the assignment step with ``mapPartitions``, and
-unpersists the previous state each iteration.
+``LocalRunner`` runs one in-process block. ``SparkRunner`` keeps one
+block per partition in a cached RDD and gets the partials back with one
+map and one ``collect``: one stage, no shuffle.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ class RunResult:
     assign_times: list[float] = field(default_factory=list)
     refine_times: list[float] = field(default_factory=list)
     iter_times: list[float] = field(default_factory=list)
-    assign: np.ndarray | None = None   # final assignment (local runs only)
+    assign: np.ndarray | None = None   # final assignment
     sse: float = float("nan")
 
     @property
@@ -90,6 +91,79 @@ def _refine_increment(
     counters.data_access += len(moved)
 
 
+def _init_block(X: np.ndarray, kernel: Kernel, k: int) -> dict:
+    """A block's points, kernel state and (k, d+1) sum+count array."""
+    return {"X": X, "st": kernel.init_state(X), "acc": np.zeros((k, X.shape[1] + 1))}
+
+
+def _block_step(block: dict, kernel: Kernel, ctx: IterCtx) -> tuple[np.ndarray, Counters]:
+    """One block's assignment + refinement: its (k, d+1) partial and counters."""
+    X, st, acc = block["X"], block["st"], block["acc"]
+    c = Counters()
+    a_prev = st["a"].copy()
+    t0 = time.perf_counter()
+    kernel.assign(X, st, ctx, c)
+    c.assign_time = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    if kernel.traditional_refine:
+        _refine_traditional(X, st["a"], acc[:, :-1], acc[:, -1], c)
+    else:
+        _refine_increment(X, a_prev, st["a"], acc[:, :-1], acc[:, -1], c)
+    c.refine_time = time.perf_counter() - t0
+    c.footprint_bytes = kernel.footprint(st)
+    return acc.copy(), c
+
+
+def _drive(X, k, kernel, n_iters, seed, init, centers0, start) -> RunResult:
+    """The iteration loop both runners share.
+
+    ``start(X, k)`` sets up the blocks and returns ``(step, final)``:
+    ``step(ctx)`` runs :func:`_block_step` on every block and returns the
+    ``(partial, Counters)`` pairs in block order; ``final()`` returns the
+    final assignment of all points.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    centers = (
+        centers0.astype(np.float64).copy()
+        if centers0 is not None
+        else _init_centers(X, k, seed, init)
+    )
+    step, final = start(X, centers.shape[0])
+    groups = None
+    prev = centers.copy()
+    res = RunResult(centers=centers, counters=Counters(), iters_run=0)
+    for t in range(n_iters):
+        t_iter = time.perf_counter()
+        ctx = make_ctx(centers, prev, t, kernel.needs, groups=groups)
+        if kernel.fixed_groups:
+            groups = ctx.groups
+        outs = step(ctx)
+        t0 = time.perf_counter()  # driver-side combine
+        acc = sum(partial for partial, _ in outs)
+        cnt = acc[:, -1]
+        nonempty = cnt > 0
+        new_centers = centers.copy()
+        new_centers[nonempty] = acc[nonempty, :-1] / cnt[nonempty, None]
+        block_counters = [c for _, c in outs]
+        res.counters = sum(block_counters, res.counters + Counters(dist=ctx.driver_dist))
+        # Blocks run in parallel: a phase takes as long as its slowest block.
+        res.assign_times.append(max(c.assign_time for c in block_counters))
+        res.refine_times.append(
+            max(c.refine_time for c in block_counters) + time.perf_counter() - t0
+        )
+        prev, centers = centers, new_centers
+        res.iter_times.append(time.perf_counter() - t_iter)
+        res.iters_run = t + 1
+        if t > 0 and np.array_equal(prev, centers):
+            break
+    res.counters.assign_time = sum(res.assign_times)
+    res.counters.refine_time = sum(res.refine_times)
+    res.centers = centers
+    res.assign = final()
+    res.sse = sse(X, centers, res.assign)
+    return res
+
+
 class LocalRunner:
     """Single-process reference runner (used by tests and the tuner)."""
 
@@ -103,85 +177,15 @@ class LocalRunner:
         init: str = "kmeans++",
         centers0: np.ndarray | None = None,
     ) -> RunResult:
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        centers = (
-            centers0.astype(np.float64).copy()
-            if centers0 is not None
-            else _init_centers(X, k, seed, init)
-        )
-        k = centers.shape[0]
-        counters = Counters()
-        st = kernel.init_state(X)
-        sv = np.zeros_like(centers)
-        cnt = np.zeros(k)
-        groups_cache = None
-        prev = centers.copy()
-        res = RunResult(centers=centers, counters=counters, iters_run=0)
-        for t in range(n_iters):
-            t_iter = time.perf_counter()
-            ctx = make_ctx(
-                centers, prev, t, kernel.needs,
-                groups=groups_cache if kernel.fixed_groups else None,
-            )
-            if kernel.fixed_groups and groups_cache is None:
-                groups_cache = ctx.groups
-            counters.dist += ctx.driver_dist
-            a_prev = st["a"].copy()
-            t0 = time.perf_counter()
-            kernel.assign(X, st, ctx, counters)
-            t_assign = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            if kernel.traditional_refine:
-                _refine_traditional(X, st["a"], sv, cnt, counters)
-            else:
-                _refine_increment(X, a_prev, st["a"], sv, cnt, counters)
-            nonempty = cnt > 0
-            new_centers = centers.copy()
-            new_centers[nonempty] = sv[nonempty] / cnt[nonempty, None]
-            t_refine = time.perf_counter() - t0
-            prev, centers = centers, new_centers
-            res.assign_times.append(t_assign)
-            res.refine_times.append(t_refine)
-            res.iter_times.append(time.perf_counter() - t_iter)
-            res.iters_run = t + 1
-            counters.footprint_bytes = max(
-                counters.footprint_bytes, kernel.footprint(st)
-            )
-            if t > 0 and np.array_equal(prev, centers):
-                break
-        counters.assign_time = sum(res.assign_times)
-        counters.refine_time = sum(res.refine_times)
-        res.centers = centers
-        res.assign = st["a"]
-        res.sse = sse(X, centers, st["a"])
-        return res
+        def start(X, k):
+            block = _init_block(X, kernel, k)
+            return (lambda ctx: [_block_step(block, kernel, ctx)]), (lambda: block["st"]["a"])
 
-
-def _spark_step(payload: dict, kernel: Kernel, ctx: IterCtx):
-    """One partition's assignment + incremental refinement step."""
-    X, st = payload["X"], payload["st"]
-    c = Counters()
-    a_prev = st["a"].copy()
-    t0 = time.perf_counter()
-    kernel.assign(X, st, ctx, c)
-    c.assign_time = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    if kernel.traditional_refine:
-        _refine_traditional(X, st["a"], payload["sv"], payload["cnt"], c)
-    else:
-        _refine_increment(X, a_prev, st["a"], payload["sv"], payload["cnt"], c)
-    c.refine_time = time.perf_counter() - t0
-    c.footprint_bytes = kernel.footprint(st)
-    partials = [
-        (int(j), (payload["sv"][j].copy(), float(payload["cnt"][j])))
-        for j in range(payload["sv"].shape[0])
-        if payload["cnt"][j] > 0
-    ]
-    return payload, partials, c
+        return _drive(X, k, kernel, n_iters, seed, init, centers0, start)
 
 
 class SparkRunner:
-    """Distributed runner: cached partition-state RDD + reduceByKey refine."""
+    """Distributed runner: one cached block per partition, one stage per iteration."""
 
     def __init__(self, spark, n_partitions: int = 8):
         self.spark = spark
@@ -198,122 +202,46 @@ class SparkRunner:
         centers0: np.ndarray | None = None,
     ) -> RunResult:
         sc = self.spark.sparkContext
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        centers = (
-            centers0.astype(np.float64).copy()
-            if centers0 is not None
-            else _init_centers(X, k, seed, init)
-        )
-        k = centers.shape[0]
-        d = X.shape[1]
-        blocks = np.array_split(X, self.n_partitions)
-
-        def _init_payload(block):
-            return {
-                "X": block,
-                "st": kernel.init_state(block),
-                "sv": np.zeros((k, d)),
-                "cnt": np.zeros(k),
-            }
-
-        rdd = sc.parallelize(blocks, len(blocks)).mapPartitions(
-            lambda it: [_init_payload(b) for b in it], preservesPartitioning=True
-        ).cache()
-        rdd.count()  # materialize initial state
-        prev_cached = rdd
-
-        counters = Counters()
-        groups_cache = None
-        prev = centers.copy()
-        res = RunResult(centers=centers, counters=counters, iters_run=0)
+        p = self.n_partitions
         kernel_bc = sc.broadcast(kernel)
-        ctx_bcs: list = []
-        for t in range(n_iters):
-            t_iter = time.perf_counter()
-            ctx = make_ctx(
-                centers, prev, t, kernel.needs,
-                groups=groups_cache if kernel.fixed_groups else None,
-            )
-            if kernel.fixed_groups and groups_cache is None:
-                groups_cache = ctx.groups
-            counters.dist += ctx.driver_dist
-            ctx_bc = sc.broadcast(ctx)
-            new_rdd = rdd.mapPartitions(
-                lambda it, _k=kernel_bc, _c=ctx_bc: [
-                    _spark_step(p, _k.value, _c.value) for p in it
-                ],
-                preservesPartitioning=True,
+        bcs = [kernel_bc]
+        cached = blocks = None
+
+        def start(X, k):
+            nonlocal cached, blocks
+            cached = blocks = sc.parallelize(np.array_split(X, p), p).map(
+                lambda b: _init_block(b, kernel, k)
             ).cache()
-            # Truncate lineage at this iteration's state so the previous
-            # iteration's ctx broadcast can be destroyed and closure
+            blocks.count()  # materialize the initial blocks
+            return step, final
+
+        def step(ctx):
+            nonlocal cached, blocks
+            ctx_bc = sc.broadcast(ctx)
+            bcs.append(ctx_bc)
+            out = blocks.map(
+                lambda b, _k=kernel_bc, _c=ctx_bc: (b, *_block_step(b, _k.value, _c.value))
+            ).cache()
+            # Truncate lineage at this iteration's blocks so closure
             # serialization stays O(1) in the iteration count.
-            new_rdd.localCheckpoint()
-            # One action per iteration: the sum-vector partials arrive
-            # keyed by cluster id and are merged with reduceByKey; the
-            # per-partition counters ride along under sentinel keys.
-            merged_rows = (
-                new_rdd.flatMap(
-                    lambda r: [((0, j), sc_) for j, sc_ in r[1]]
-                    + [((1, 0), r[2])]
-                )
-                .reduceByKey(
-                    lambda u, v: (u[0] + v[0], u[1] + v[1])
-                    if isinstance(u, tuple)
-                    else u + v
-                )
-                .collect()
-            )
-            part_counters = Counters()
-            new_centers = centers.copy()
-            t0 = time.perf_counter()  # driver-side combine only
-            for (kind, j), val in merged_rows:
-                if kind == 0:
-                    svj, cntj = val
-                    if cntj > 0:
-                        new_centers[j] = svj / cntj
-                else:
-                    part_counters = val
-            counters.dist += part_counters.dist
-            counters.data_access += part_counters.data_access
-            counters.bound_access += part_counters.bound_access
-            counters.bound_update += part_counters.bound_update
-            counters.node_access += part_counters.node_access
-            counters.footprint_bytes = max(
-                counters.footprint_bytes, part_counters.footprint_bytes
-            )
-            # Partition phase times are summed by the counter merge; with
-            # p equal partitions running in parallel, wall-clock ≈ sum/p.
-            p = len(blocks)
-            t_assign = part_counters.assign_time / p
-            t_refine = part_counters.refine_time / p + (time.perf_counter() - t0)
-            counters.assign_time += t_assign
-            counters.refine_time += t_refine
-            # The collect above materialized (and checkpointed) new_rdd;
-            # the next iteration maps a lazy view of it. The previous
-            # iteration's cached state can now be released.
-            if prev_cached is not None:
-                prev_cached.unpersist()
-            prev_cached = new_rdd
-            rdd = new_rdd.map(lambda r: r[0])
-            # unpersist (not destroy): the cached PythonRDD's serialized
-            # function still references this broadcast; destroy would
-            # invalidate later task serialization. All ctx broadcasts
-            # are destroyed together after the final collect.
+            out.localCheckpoint()
+            # The one job of the iteration: a narrow map over the cached
+            # blocks, so one stage and no shuffle.
+            partials = out.map(lambda r: r[1:]).collect()
+            cached.unpersist()
+            cached, blocks = out, out.map(lambda r: r[0])
+            # unpersist, not destroy: the cached PythonRDD's function still
+            # references it. All broadcasts are destroyed after the run.
             ctx_bc.unpersist()
-            ctx_bcs.append(ctx_bc)
-            prev, centers = centers, new_centers
-            res.assign_times.append(t_assign)
-            res.refine_times.append(t_refine)
-            res.iter_times.append(time.perf_counter() - t_iter)
-            res.iters_run = t + 1
-            if t > 0 and np.array_equal(prev, centers):
-                break
-        a = np.concatenate(rdd.map(lambda p: p["st"]["a"]).collect())
-        prev_cached.unpersist()
-        for bc in ctx_bcs:
-            bc.destroy()
-        kernel_bc.destroy()
-        res.centers = centers
-        res.assign = a
-        res.sse = sse(X, centers, a)
-        return res
+            return partials
+
+        def final():
+            return np.concatenate(blocks.map(lambda b: b["st"]["a"]).collect())
+
+        try:
+            return _drive(X, k, kernel, n_iters, seed, init, centers0, start)
+        finally:
+            if cached is not None:
+                cached.unpersist()
+            for bc in bcs:
+                bc.destroy()

@@ -1,0 +1,18 @@
+"""Exactness on degenerate inputs."""
+import numpy as np
+import pytest
+
+from repro.core.kernels import REGISTRY, make_kernel
+from repro.core.runner import LocalRunner
+
+
+@pytest.mark.parametrize("method", sorted(REGISTRY))
+def test_single_cluster_matches_lloyd(method):
+    """k=1: no centroid besides the assigned one (drak used to store a
+    bound for one anyway and raised ValueError)."""
+    X = np.random.default_rng(0).normal(size=(300, 3))
+    ref = LocalRunner().run(X, 1, make_kernel("lloyd"), n_iters=5, seed=0)
+    got = LocalRunner().run(X, 1, make_kernel(method), n_iters=5, seed=0)
+    assert (got.assign == ref.assign).all()
+    assert got.iters_run == ref.iters_run
+    assert np.allclose(got.centers, ref.centers)
