@@ -18,6 +18,8 @@ from .hamerly import HamerlyKernel
 from ..linalg import full_dists
 from .base import full_assign
 
+_SQRT_EPS = np.sqrt(np.finfo(np.float64).eps)
+
 
 @register("annu")
 class AnnularKernel(HamerlyKernel):
@@ -49,8 +51,13 @@ class AnnularKernel(HamerlyKernel):
         # true second-nearest (≤ max(d_a, sec)).
         w = np.maximum(d_a_fail, st["sec"][fail])
         counters.bound_access += len(fail)
-        lo = np.searchsorted(ctx.norm_sorted, xnorm - w, side="left")
-        hi = np.searchsorted(ctx.norm_sorted, xnorm + w, side="right")
+        # Widen the annulus by the rounding error of an expanded-form
+        # distance, |d̂ − d| ≤ 2·sqrt(eps)·(‖x‖ + ‖c‖) with ‖c‖ ≤ ‖x‖ + w.
+        # A centroid on the edge (at d=1 every centroid on x's side of the
+        # origin is: |‖c‖ − ‖x‖| = d(x, c)) must never round out of it.
+        r = w + 2 * _SQRT_EPS * (2 * xnorm + w)
+        lo = np.searchsorted(ctx.norm_sorted, xnorm - r, side="left")
+        hi = np.searchsorted(ctx.norm_sorted, xnorm + r, side="right")
         rows, pos = ranges_to_pairs(hi - lo)
         cols = ctx.norm_order[lo[rows] + pos]
         d = candidate_dists(X, ctx.centers, fail, rows, cols, counters, x2=st["x2"], c2=ctx.c2)

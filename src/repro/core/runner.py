@@ -13,8 +13,9 @@ paper's refinement protocol (§5.1.2):
    by counts to refine the centroids.
 
 ``LocalRunner`` runs one in-process block. ``SparkRunner`` keeps one
-block per partition in a cached RDD and gets the partials back with one
-map and one ``collect``: one stage, no shuffle.
+block per partition in a cached RDD; each iteration is one job of one
+stage (no shuffle) whose tasks run the block step as their only Python
+evaluation and return the partials through a partition-keyed accumulator.
 """
 from __future__ import annotations
 
@@ -184,6 +185,16 @@ class LocalRunner:
         return _drive(X, k, kernel, n_iters, seed, init, centers0, start)
 
 
+class _ByPartition:
+    """Merges ``{partition: result}`` dicts; a re-sent task update overwrites its key."""
+
+    def zero(self, value: dict) -> dict:
+        return {}
+
+    def addInPlace(self, a: dict, b: dict) -> dict:
+        return {**a, **b}
+
+
 class SparkRunner:
     """Distributed runner: one cached block per partition, one stage per iteration."""
 
@@ -202,38 +213,43 @@ class SparkRunner:
         centers0: np.ndarray | None = None,
     ) -> RunResult:
         sc = self.spark.sparkContext
-        p = self.n_partitions
+        p = min(self.n_partitions, len(X))  # kernels need non-empty blocks
         kernel_bc = sc.broadcast(kernel)
         bcs = [kernel_bc]
-        cached = blocks = None
+        # One accumulator per run: PySpark never drops one from its registry.
+        parts = sc.accumulator({}, _ByPartition())
+        blocks = out = None
 
         def start(X, k):
-            nonlocal cached, blocks
-            cached = blocks = sc.parallelize(np.array_split(X, p), p).map(
-                lambda b: _init_block(b, kernel, k)
-            ).cache()
-            blocks.count()  # materialize the initial blocks
+            nonlocal blocks
+            blocks = sc.parallelize(np.array_split(X, p), p)
+            blocks = blocks.map(lambda b: _init_block(b, kernel, k)).cache()
+            blocks._jrdd.count()  # materialize the initial blocks; see step
             return step, final
 
         def step(ctx):
-            nonlocal cached, blocks
+            nonlocal blocks, out
             ctx_bc = sc.broadcast(ctx)
             bcs.append(ctx_bc)
-            out = blocks.map(
-                lambda b, _k=kernel_bc, _c=ctx_bc: (b, *_block_step(b, _k.value, _c.value))
-            ).cache()
-            # Truncate lineage at this iteration's blocks so closure
-            # serialization stays O(1) in the iteration count.
+            def step_partition(i, it):
+                for b in it:
+                    parts.add({i: _block_step(b, kernel_bc.value, ctx_bc.value)})
+                    yield b
+            out = blocks.mapPartitionsWithIndex(step_partition).cache()
+            # Truncate lineage so closure size stays O(1) in the iteration count.
             out.localCheckpoint()
-            # The one job of the iteration: a narrow map over the cached
-            # blocks, so one stage and no shuffle.
-            partials = out.map(lambda r: r[1:]).collect()
-            cached.unpersist()
-            cached, blocks = out, out.map(lambda r: r[0])
-            # unpersist, not destroy: the cached PythonRDD's function still
-            # references it. All broadcasts are destroyed after the run.
+            # The iteration's one job (one stage, no shuffle). A JVM-side count
+            # keeps ``step_partition`` the only Python evaluation per task;
+            # every public action (count, foreach, collect of a map) adds one.
+            out._jrdd.count()
+            blocks.unpersist()
+            blocks = out
+            # unpersist, not destroy: the cached ``out``'s function references it.
             ctx_bc.unpersist()
-            return partials
+            got, parts.value = parts.value, {}
+            if sorted(got) != list(range(p)):
+                raise RuntimeError(f"partials came from partitions {sorted(got)}, not 0..{p - 1}")
+            return [got[i] for i in range(p)]
 
         def final():
             return np.concatenate(blocks.map(lambda b: b["st"]["a"]).collect())
@@ -241,7 +257,9 @@ class SparkRunner:
         try:
             return _drive(X, k, kernel, n_iters, seed, init, centers0, start)
         finally:
-            if cached is not None:
-                cached.unpersist()
+            for rdd in (blocks, out):  # out is not blocks only if a step raised
+                if rdd is not None:
+                    rdd.unpersist()
+            parts.value = {}
             for bc in bcs:
                 bc.destroy()

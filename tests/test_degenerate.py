@@ -16,3 +16,17 @@ def test_single_cluster_matches_lloyd(method):
     assert (got.assign == ref.assign).all()
     assert got.iters_run == ref.iters_run
     assert np.allclose(got.centers, ref.centers)
+
+
+@pytest.mark.parametrize("method", sorted(REGISTRY))
+def test_one_dimension_matches_lloyd_to_convergence(method):
+    """d=1: a centroid on x's side of the origin sits exactly on the edge of
+    annu's norm annulus, |‖c‖ − ‖x‖| = d(x, c). annu used to round it out of
+    its candidate window and stop after 13 iterations with 52 points
+    assigned differently from Lloyd's 23."""
+    X = np.random.default_rng(0).normal(size=(800, 1))
+    ref = LocalRunner().run(X, 12, make_kernel("lloyd"), n_iters=300, seed=0)
+    got = LocalRunner().run(X, 12, make_kernel(method), n_iters=300, seed=0)
+    assert (got.assign == ref.assign).all()
+    assert got.iters_run == ref.iters_run
+    assert np.allclose(got.centers, ref.centers)
