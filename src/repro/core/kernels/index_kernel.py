@@ -6,23 +6,88 @@ nodes, centroid j is pruned when ``d(p, c_j) > d(p, c_b) + 2r`` (the
 general form of Equation 2); a node whose candidate set collapses to
 one centroid is assigned wholesale. kd-tree nodes use the Kanungo
 corner rule on the bounding box instead.
+
+Ball-tree traversal is frontier-at-once: one step takes every node of
+the current frontier, as rows of (node, candidate mask), through one
+masked pivot→centroid matmul and then batch-assigns, evaluates leaves
+or expands children for all rows together. Every decision depends only
+on the node's own root path, so this visits the same nodes and counts
+the same distances as a node-at-a-time DFS, in tree-depth Python steps.
+The helpers below are shared with UniK.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ...index import BALL_INDEXES, build_kdtree
-from ...index.base import compute_spans
+from ...index.base import ArrayTree, compute_spans
 from ..ctx import IterCtx
+from ..linalg import candidate_dists
 from ..metrics import Counters
-from .base import Kernel, register
+from .base import Kernel, ranges_to_pairs, register
 
 
-def ball_node_dists(pivot: np.ndarray, C: np.ndarray, cand: np.ndarray, c2: np.ndarray | None) -> np.ndarray:
-    Cc = C[cand]
-    c2c = np.einsum("ij,ij->i", Cc, Cc) if c2 is None else c2[cand]
-    d2 = c2c + pivot @ pivot - 2.0 * (Cc @ pivot)
-    return np.sqrt(np.maximum(d2, 0.0))
+def slices(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ``arange(lo[r], hi[r])`` over rows r, and each element's row."""
+    rows, pos = ranges_to_pairs(hi - lo)
+    return lo[rows] + pos, rows
+
+
+def node_dists(tree: ArrayTree, nodes: np.ndarray, cand: np.ndarray,
+               ctx: IterCtx, counters: Counters) -> np.ndarray:
+    """(F, k) pivot→centroid distances of a frontier; +inf off ``cand``.
+
+    Charges one distance per candidate, the pairs the algorithm uses.
+    """
+    P = tree.pivot[nodes]
+    d2 = (ctx.c2[None, :] + np.einsum("ij,ij->i", P, P)[:, None]) - 2.0 * (P @ ctx.centers.T)
+    D = np.sqrt(np.maximum(d2, 0.0))
+    D[~cand] = np.inf
+    counters.dist += int(cand.sum())
+    return D
+
+
+def children(tree: ArrayTree, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Child ids of every node in ``nodes``, and each child's row in ``nodes``."""
+    pos, rows = slices(tree.child_start[nodes], tree.child_start[nodes + 1])
+    return tree.child_idx[pos], rows
+
+
+def covered(tree: ArrayTree, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Point ids under every node in ``nodes`` (disjoint subtrees), and their rows."""
+    pos, rows = slices(tree.pt_start[nodes], tree.pt_end[nodes])
+    return tree.perm[pos], rows
+
+
+def leaf_pairs(tree: ArrayTree, leaves: np.ndarray, cand: np.ndarray):
+    """Every leaf point against its leaf's candidates, as ragged pairs.
+
+    Returns ``(pts, rows, starts, pair_pt, cols)``: the points, each
+    point's row in ``leaves``, the offset of each point's first pair, and
+    per pair the index into ``pts`` and the centroid id. Pairs are grouped
+    by point with ascending centroid ids, ready for ``candidate_dists``
+    and ``segment_min``.
+    """
+    pts, rows = covered(tree, leaves)
+    _, leaf_cols = np.nonzero(cand)
+    n_cand = cand.sum(1)
+    first = np.cumsum(n_cand) - n_cand
+    idx, pair_pt = slices(first[rows], (first + n_cand)[rows])
+    counts = n_cand[rows]
+    return pts, rows, np.cumsum(counts) - counts, pair_pt, leaf_cols[idx]
+
+
+def segment_min(vals: np.ndarray, seg: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of the first minimum, and the minimum, of each segment.
+
+    ``seg`` numbers the segment of every value (non-decreasing, none
+    empty) and ``starts`` holds each segment's first position.
+    """
+    mins = np.minimum.reduceat(vals, starts)
+    hit = np.flatnonzero(vals == mins[seg])
+    first = np.ones(len(hit), dtype=bool)
+    first[1:] = seg[hit[1:]] != seg[hit[:-1]]
+    return hit[first], mins
 
 
 @register("index")
@@ -47,37 +112,28 @@ class IndexKernel(Kernel):
         }
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
-        tree, spans, a = st["tree"], st["spans"], st["a"]
-        C = ctx.centers
-        all_cand = np.arange(ctx.k)
-        stack: list[tuple[int, np.ndarray]] = [(0, all_cand)]
-        while stack:
-            i, cand = stack.pop()
-            counters.node_access += 1
-            d = ball_node_dists(tree.pivot[i], C, cand, ctx.c2)
-            counters.dist += len(cand)
-            b = int(d.argmin())
-            dmin = float(d[b])
-            r = tree.radius[i]
-            keep = d <= dmin + 2.0 * r
-            cand2 = cand[keep]
-            lo, hi = spans[i]
-            if len(cand2) == 1:
-                a[tree.perm[lo:hi]] = cand2[0]
-            elif tree.is_leaf(i):
-                pts = tree.perm[lo:hi]
-                P = X[pts]
-                D = (
-                    np.einsum("ij,ij->i", P, P)[:, None]
-                    + ctx.c2[cand2][None, :]
-                    - 2.0 * P @ C[cand2].T
-                )
-                counters.dist += len(pts) * len(cand2)
-                counters.data_access += len(pts) * len(cand2)
-                a[pts] = cand2[D.argmin(1)]
-            else:
-                for c in tree.children(i):
-                    stack.append((int(c), cand2))
+        tree, a = st["tree"], st["a"]
+        is_leaf = tree.leaf_mask()
+        x2 = np.einsum("ij,ij->i", X, X)
+        nodes = np.zeros(1, dtype=np.int64)
+        cand = np.ones((1, ctx.k), dtype=bool)
+        while len(nodes):
+            counters.node_access += len(nodes)
+            D = node_dists(tree, nodes, cand, ctx, counters)
+            b = D.argmin(1)
+            d1 = D[np.arange(len(nodes)), b]
+            keep = D <= (d1 + 2.0 * tree.radius[nodes])[:, None]
+            one = keep.sum(1) == 1
+            pts, rows = covered(tree, nodes[one])
+            a[pts] = b[one][rows]
+            leaf = ~one & is_leaf[nodes]
+            if leaf.any():
+                pts, _, starts, pair_pt, cols = leaf_pairs(tree, nodes[leaf], keep[leaf])
+                vals = candidate_dists(X, ctx.centers, pts, pair_pt, cols, counters, x2=x2, c2=ctx.c2)
+                a[pts] = cols[segment_min(vals, pair_pt, starts)[0]]
+            inner = ~(one | leaf)
+            nodes, rows = children(tree, nodes[inner])
+            cand = keep[inner][rows]
 
     def footprint(self, st: dict) -> int:
         return st["tree"].nbytes() + st["spans"].nbytes

@@ -33,10 +33,10 @@ import numpy as np
 from ...index import BALL_INDEXES
 from ...index.base import compute_spans
 from ..ctx import IterCtx
-from ..linalg import full_dists, pair_dists
+from ..linalg import candidate_dists, full_dists, pair_dists
 from ..metrics import Counters
 from .base import Kernel, register, top2_from_full
-from .index_kernel import ball_node_dists
+from .index_kernel import children, covered, leaf_pairs, node_dists, segment_min, slices
 
 
 def _hamerly_points(X, idx, a, ub, lb, st, ctx, counters: Counters) -> None:
@@ -69,6 +69,8 @@ class UniKKernel(Kernel):
 
     def __init__(self, index: str = "balltree", capacity: int = 30, seed: int = 0,
                  traversal: str = "adaptive"):
+        if index not in BALL_INDEXES:
+            raise KeyError(f"unknown ball index {index!r}")
         if traversal not in ("adaptive", "index-single", "index-multiple"):
             raise ValueError(traversal)
         self.index = index
@@ -114,105 +116,109 @@ class UniKKernel(Kernel):
             st["node_ub"][ubn] += ctx.delta[st["node_assigned"][ubn]]
             counters.bound_update += len(ubn)
 
-    def _batch_assign(self, st, i, j) -> None:
-        lo, hi = st["spans"][i]
-        st["a"][st["tree"].perm[lo:hi]] = j
+    def _batch_assign(self, st, nodes, j) -> None:
+        """Assign each node's whole subtree to its centroid in ``j``."""
+        tree = st["tree"]
+        pts, rows = covered(tree, nodes)
+        st["a"][pts] = j[rows]
         # Reclaim any individually-tracked points and cached descendants:
         # the whole subtree is now proven nearest to j, so their stale
-        # bounds/assignments must not survive. Descendants always have a
-        # larger node id (build order) and a span inside [lo, hi).
-        pts = st["tree"].perm[lo:hi]
-        if st["pt_mask"][pts].any():
-            st["pt_mask"][pts] = False
-        spans = st["spans"]
-        desc = np.where(
-            (np.arange(len(spans)) > i)
-            & (spans[:, 0] >= lo)
-            & (spans[:, 1] <= hi)
-        )[0]
-        if len(desc):
-            st["dissolved"][desc] = False
-            st["node_active"][desc] = False
-            st["frontier"][desc] = False
-        st["node_active"][i] = True
-        st["frontier"][i] = False
-        st["node_assigned"][i] = j
+        # bounds/assignments must not survive.
+        st["pt_mask"][pts] = False
+        desc, _ = slices(nodes + 1, tree.subtree_end[nodes])
+        st["dissolved"][desc] = False
+        st["node_active"][desc] = False
+        st["frontier"][desc] = False
+        st["node_active"][nodes] = True
+        st["frontier"][nodes] = False
+        st["node_assigned"][nodes] = j
 
-    def _eval_node(self, X, st, ctx, counters, i, cand, excl_lb, stack) -> None:
-        """Evaluate node i against candidate set; batch-assign, recurse or dissolve."""
+    def _descend(self, X, st, ctx, counters, nodes, cand, excl) -> None:
+        """Frontier-at-once traversal from rows (node, candidate mask, excl_lb).
+
+        ``excl_lb`` lower-bounds any covered point's distance to every
+        centroid outside the mask. Each row batch-assigns, dissolves or
+        keeps a leaf as frontier, or expands into its children; the rows
+        of one step are disjoint subtrees, so their writes never meet.
+        """
         tree = st["tree"]
-        d = ball_node_dists(tree.pivot[i], ctx.centers, cand, ctx.c2)
-        counters.dist += len(cand)
-        order = np.argsort(d)
-        b = int(cand[order[0]])
-        d1 = float(d[order[0]])
-        d2 = float(d[order[1]]) if len(cand) > 1 else np.inf
-        r = float(tree.radius[i])
-        # Runner-up lower bound over ALL centroids for any covered point.
-        runner_lb = min(d2 - r, excl_lb)
-        slack = runner_lb - (d1 + r)
-        if slack > 0:
-            self._batch_assign(st, i, b)
-            st["node_slack"][i] = slack
-            st["node_ub"][i] = d1 + r
-            return
-        keep = d <= d1 + 2.0 * r
-        cand2 = cand[keep]
-        new_excl = min(excl_lb, float((d[~keep] - r).min()) if (~keep).any() else np.inf)
-        if tree.is_leaf(i):
-            lo, hi = st["spans"][i]
-            pts = tree.perm[lo:hi]
-            P = X[pts]
-            D = (
-                st["x2"][pts][:, None]
-                + ctx.c2[cand2][None, :]
-                - 2.0 * P @ ctx.centers[cand2].T
-            )
-            np.maximum(D, 0.0, out=D)
-            np.sqrt(D, out=D)
-            counters.dist += len(pts) * len(cand2)
-            counters.data_access += len(pts) * len(cand2)
-            na, pd1, pd2, _ = top2_from_full(D)
-            st["a"][pts] = cand2[na]
-            if len(cand2) > max(8, ctx.k // 4):
-                # Poorly-pruned leaf: hand its points to per-point bounds
-                # (the sequential side of the unified pipeline).
-                st["ub"][pts] = pd1
-                st["lb"][pts] = np.minimum(pd2, new_excl)
-                st["pt_mask"][pts] = True
-                st["dissolved"][i] = True
-                st["frontier"][i] = False
-                counters.bound_update += 2 * len(pts)
-            else:
-                # Well-pruned leaf: stays in the tree as a frontier node,
-                # re-evaluated each iteration from its pivot ball.
-                st["frontier"][i] = True
-                st["node_assigned"][i] = b
-                st["node_ub"][i] = d1 + r
-        else:
-            for c in tree.children(i):
-                stack.append((int(c), cand2, new_excl))
+        is_leaf = tree.leaf_mask()
+        k = ctx.k
+        while len(nodes):
+            counters.node_access += len(nodes)
+            # Dissolved leaves' points are tracked individually; an active
+            # node whose cached Eq-10 slack still holds keeps its subtree.
+            act = st["node_active"][nodes]
+            live = ~st["dissolved"][nodes] & ~(act & (st["node_slack"][nodes] > 0))
+            st["node_active"][nodes[act & live]] = False
+            nodes, cand, excl = nodes[live], cand[live], excl[live]
+            D = node_dists(tree, nodes, cand, ctx, counters)
+            b = D.argmin(1)
+            d1 = D[np.arange(len(nodes)), b]
+            d2 = np.partition(D, 1, axis=1)[:, 1] if k > 1 else np.full(len(nodes), np.inf)
+            r = tree.radius[nodes]
+            ub = d1 + r
+            # Runner-up lower bound over ALL centroids for any covered point.
+            slack = np.minimum(d2 - r, excl) - ub
+            bat = slack > 0
+            self._batch_assign(st, nodes[bat], b[bat])
+            st["node_slack"][nodes[bat]] = slack[bat]
+            st["node_ub"][nodes[bat]] = ub[bat]
+            keep = D <= (d1 + 2.0 * r)[:, None]
+            excl = np.minimum(excl, np.where(keep, np.inf, D - r[:, None]).min(1))
+            leaf = ~bat & is_leaf[nodes]
+            if leaf.any():
+                self._eval_leaves(X, st, ctx, counters, nodes[leaf], keep[leaf],
+                                  excl[leaf], b[leaf], ub[leaf])
+            inner = ~(bat | leaf)
+            nodes, rows = children(tree, nodes[inner])
+            cand, excl = keep[inner][rows], excl[inner][rows]
+
+    def _eval_leaves(self, X, st, ctx, counters, leaves, cand, excl, b, ub) -> None:
+        """Assign the points of leaves that could not be batch-assigned."""
+        tree = st["tree"]
+        dis = cand.sum(1) > max(8, ctx.k // 4)
+        stay = leaves[~dis]
+        if len(stay):
+            # Well-pruned leaf: stays in the tree as a frontier node,
+            # re-evaluated each iteration from its pivot ball.
+            pts, _, starts, pair_pt, cols = leaf_pairs(tree, stay, cand[~dis])
+            vals = candidate_dists(X, ctx.centers, pts, pair_pt, cols, counters,
+                                   x2=st["x2"], c2=ctx.c2)
+            st["a"][pts] = cols[segment_min(vals, pair_pt, starts)[0]]
+            st["frontier"][stay] = True
+            st["node_assigned"][stay] = b[~dis]
+            st["node_ub"][stay] = ub[~dis]
+        gone = leaves[dis]
+        if len(gone):
+            # Poorly-pruned leaf: hand its points to per-point bounds (the
+            # sequential side of the unified pipeline). Its rows take the
+            # dense BLAS path, as full_dists does: a per-pair dot rounds
+            # differently, and where a centroid sits on a data point the
+            # square root turns that into ~1e-7, enough for a seeded ub to
+            # undercut the same distance evaluated by full_dists.
+            pts, rows, starts, pair_pt, cols = leaf_pairs(tree, gone, cand[dis])
+            vals = candidate_dists(X, ctx.centers, pts, pair_pt, cols, counters,
+                                   x2=st["x2"], c2=ctx.c2, dense_threshold=0.0)
+            first, d1 = segment_min(vals, pair_pt, starts)
+            st["a"][pts] = cols[first]
+            vals[first] = np.inf
+            st["ub"][pts] = d1
+            st["lb"][pts] = np.minimum(np.minimum.reduceat(vals, starts), excl[dis][rows])
+            st["pt_mask"][pts] = True
+            st["dissolved"][gone] = True
+            st["frontier"][gone] = False
+            counters.bound_update += 2 * len(pts)
 
     # -- passes ------------------------------------------------------------
-
-    def _drain(self, X, st, ctx, counters, stack) -> None:
-        while stack:
-            i, cand, excl_lb = stack.pop()
-            counters.node_access += 1
-            if st["dissolved"][i]:
-                continue  # its points are tracked individually
-            if st["node_active"][i]:
-                if st["node_slack"][i] > 0:
-                    continue  # cached Eq-10 bound still holds — skip subtree
-                st["node_active"][i] = False
-            self._eval_node(X, st, ctx, counters, i, cand, excl_lb, stack)
 
     def _root_pass(self, X, st, ctx, counters: Counters) -> None:
         # Points dissolved in *earlier* iterations go through the bound
         # cascade; points dissolving during this pass get exact bounds.
         pts_prev = np.where(st["pt_mask"])[0]
         self._decay_slacks(st, ctx, counters)
-        self._drain(X, st, ctx, counters, [(0, np.arange(ctx.k), np.inf)])
+        self._descend(X, st, ctx, counters, np.zeros(1, dtype=np.int64),
+                      np.ones((1, ctx.k), dtype=bool), np.full(1, np.inf))
         _hamerly_points(X, pts_prev, st["a"], st["ub"], st["lb"], st, ctx, counters)
 
     def _flat_pass(self, X, st, ctx, counters: Counters) -> None:
@@ -228,21 +234,14 @@ class UniKKernel(Kernel):
         # (Eq. 6 applied to pivots): for any point under node i with
         # d(x, c_b) ≤ node_ub, the true nearest c* has cc(b, c*) ≤ 2·ub;
         # every excluded centroid is ≥ cc(b, j) − ub away from any such x.
-        stack = []
-        for i in failed:
-            b = int(st["node_assigned"][i])
-            ubn = float(st["node_ub"][i])
-            if b >= 0 and ctx.cc is not None:
-                ball = ctx.cc[b] <= 2.0 * ubn
-                ball[b] = True
-                cand = np.where(ball)[0]
-                excl = ctx.cc[b][~ball]
-                excl_lb = float(excl.min() - ubn) if len(excl) else np.inf
-                counters.bound_access += ctx.k
-            else:
-                cand, excl_lb = np.arange(ctx.k), np.inf
-            stack.append((int(i), cand, excl_lb))
-        self._drain(X, st, ctx, counters, stack)
+        # Every active or frontier node has a cached centroid.
+        b = st["node_assigned"][failed]
+        ubn = st["node_ub"][failed]
+        ball = ctx.cc[b] <= 2.0 * ubn[:, None]
+        ball[np.arange(len(failed)), b] = True
+        excl = np.where(ball, np.inf, ctx.cc[b]).min(1) - ubn
+        counters.bound_access += ctx.k * len(failed)
+        self._descend(X, st, ctx, counters, failed, ball, excl)
         _hamerly_points(X, pts_prev, st["a"], st["ub"], st["lb"], st, ctx, counters)
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:

@@ -8,8 +8,12 @@ cheaply through Spark's cached-RDD path and traversals stay vectorized.
 
 Children are stored CSR-style (``child_start``/``child_idx``) so binary
 trees (Ball/kd/M/HKT) and multi-way trees (Cover-tree) share one layout.
-Leaves own a contiguous slice ``perm[pt_start:pt_end]`` of the point
-permutation.
+
+Nodes are numbered in DFS pre-order, and leaves take their points in the
+same order, so a subtree is two contiguous ranges: its nodes are the ids
+``[i, subtree_end[i])`` and its points are ``perm[pt_start[i]:pt_end[i]]``.
+Batch-assigning or resetting a whole subtree is therefore a slice write,
+never a search over the m nodes.
 """
 from __future__ import annotations
 
@@ -29,8 +33,9 @@ class ArrayTree:
     height: np.ndarray      # (m,) depth from root
     child_start: np.ndarray # (m+1,) CSR offsets into child_idx
     child_idx: np.ndarray   # flat child node ids
-    pt_start: np.ndarray    # (m,) leaf point-slice start (−1 for internal)
-    pt_end: np.ndarray      # (m,)
+    pt_start: np.ndarray    # (m,) start of the node's perm slice
+    pt_end: np.ndarray      # (m,) end of the node's perm slice
+    subtree_end: np.ndarray # (m,) one past the last pre-order id under the node
     perm: np.ndarray        # (n,) permutation of point indices
 
     @property
@@ -56,7 +61,7 @@ class ArrayTree:
             for a in (
                 self.pivot, self.radius, self.sv, self.num, self.psi,
                 self.height, self.child_start, self.child_idx,
-                self.pt_start, self.pt_end, self.perm,
+                self.pt_start, self.pt_end, self.subtree_end, self.perm,
             )
         )
 
@@ -80,32 +85,13 @@ class ArrayTree:
         return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
     def _covered(self, i: int) -> np.ndarray:
-        """All point ids under node ``i`` (leaf slices are contiguous per subtree)."""
-        lo, hi = self._span(i)
-        return self.perm[lo:hi]
-
-    def _span(self, i: int) -> tuple[int, int]:
-        if self.is_leaf(i):
-            return int(self.pt_start[i]), int(self.pt_end[i])
-        spans = [self._span(c) for c in self.children(i)]
-        return min(s for s, _ in spans), max(e for _, e in spans)
+        """All point ids under node ``i`` (one contiguous ``perm`` slice)."""
+        return self.perm[self.pt_start[i] : self.pt_end[i]]
 
 
 def compute_spans(tree: "ArrayTree") -> np.ndarray:
-    """(m, 2) perm-slice [lo, hi) per node, bottom-up in linear time.
-
-    Valid because ``build_tree`` assigns child ids after their parent,
-    so a reverse scan sees children before parents.
-    """
-    m = tree.n_nodes
-    spans = np.empty((m, 2), dtype=np.int64)
-    for i in range(m - 1, -1, -1):
-        if tree.is_leaf(i):
-            spans[i] = (tree.pt_start[i], tree.pt_end[i])
-        else:
-            ch = tree.children(i)
-            spans[i] = (spans[ch, 0].min(), spans[ch, 1].max())
-    return spans
+    """(m, 2) perm-slice [lo, hi) per node."""
+    return np.stack([tree.pt_start, tree.pt_end], axis=1)
 
 
 def build_tree(
@@ -117,18 +103,19 @@ def build_tree(
 
     ``split(idx)`` partitions a set of point indices into ≥2 groups, or
     returns ``None`` to force a leaf. Nodes with ≤ ``capacity`` points
-    become leaves. Point slices are laid out contiguously per subtree so
-    any node's covered set is one ``perm`` slice.
+    become leaves. A node gets its id, and a leaf its points, when it is
+    popped, so ids run in DFS pre-order and every subtree covers one
+    ``perm`` slice.
     """
     n, d = X.shape
-    pivot, radius, sv, num, psi, height = [], [], [], [], [], []
-    childs: list[list[int]] = []
-    pt_start, pt_end = [], []
+    pivot, radius, sv, num, psi, height, parent, pt_start = [], [], [], [], [], [], [], []
     perm = np.empty(n, dtype=np.int64)
     cursor = 0
 
-    def new_node(idx: np.ndarray, parent_pivot: np.ndarray | None, h: int) -> int:
-        nonlocal cursor
+    # Explicit stack to avoid Python recursion limits on skewed trees.
+    stack: list[tuple[np.ndarray, int]] = [(np.arange(n), -1)]
+    while stack:
+        idx, par = stack.pop()
         i = len(pivot)
         pts = X[idx]
         s = pts.sum(0)
@@ -138,18 +125,10 @@ def build_tree(
         sv.append(s)
         radius.append(r)
         num.append(len(idx))
-        psi.append(0.0 if parent_pivot is None else float(np.linalg.norm(p - parent_pivot)))
-        height.append(h)
-        childs.append([])
-        pt_start.append(-1)
-        pt_end.append(-1)
-        return i
-
-    # Explicit stack to avoid Python recursion limits on skewed trees.
-    root = new_node(np.arange(n), None, 0)
-    stack: list[tuple[int, np.ndarray]] = [(root, np.arange(n))]
-    while stack:
-        i, idx = stack.pop()
+        psi.append(0.0 if par < 0 else float(np.linalg.norm(p - pivot[par])))
+        height.append(0 if par < 0 else height[par] + 1)
+        parent.append(par)
+        pt_start.append(cursor)
         groups = None
         if len(idx) > capacity:
             groups = split(idx)
@@ -158,33 +137,33 @@ def build_tree(
                 if len(groups) < 2:
                     groups = None
         if groups is None:
-            pt_start[i] = cursor
             perm[cursor : cursor + len(idx)] = idx
             cursor += len(idx)
-            pt_end[i] = cursor
-            continue
-        for g in groups:
-            c = new_node(g, pivot[i], height[i] + 1)
-            childs[i].append(c)
-            stack.append((c, g))
+        else:
+            stack.extend((g, i) for g in groups)
 
     m = len(pivot)
+    parent_arr = np.asarray(parent[1:], dtype=np.int64)
     child_start = np.zeros(m + 1, dtype=np.int64)
-    for i in range(m):
-        child_start[i + 1] = child_start[i] + len(childs[i])
-    child_idx = np.array(
-        [c for cs in childs for c in cs], dtype=np.int64
-    ) if child_start[-1] else np.empty(0, dtype=np.int64)
+    np.cumsum(np.bincount(parent_arr, minlength=m), out=child_start[1:])
+    num_arr = np.asarray(num, dtype=np.int64)
+    pt_start_arr = np.asarray(pt_start, dtype=np.int64)
+    pt_end = pt_start_arr + num_arr
+    # pt_start is non-decreasing in pre-order, and every node covers at
+    # least one point, so the first id whose slice starts at or after
+    # pt_end[i] is the first id outside i's subtree.
+    subtree_end = np.maximum(np.searchsorted(pt_start_arr, pt_end), np.arange(1, m + 1))
     return ArrayTree(
         pivot=np.asarray(pivot, dtype=np.float64),
         radius=np.asarray(radius, dtype=np.float64),
         sv=np.asarray(sv, dtype=np.float64),
-        num=np.asarray(num, dtype=np.int64),
+        num=num_arr,
         psi=np.asarray(psi, dtype=np.float64),
         height=np.asarray(height, dtype=np.int64),
         child_start=child_start,
-        child_idx=child_idx,
-        pt_start=np.asarray(pt_start, dtype=np.int64),
-        pt_end=np.asarray(pt_end, dtype=np.int64),
+        child_idx=np.argsort(parent_arr, kind="stable") + 1,
+        pt_start=pt_start_arr,
+        pt_end=pt_end,
+        subtree_end=subtree_end,
         perm=perm,
     )

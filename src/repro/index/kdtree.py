@@ -38,15 +38,12 @@ def build_kdtree(X: np.ndarray, capacity: int = 1, seed: int = 0) -> KDTree:
         return [idx[order[:half]], idx[order[half:]]]
 
     tree = build_tree(X, split, capacity)
-    m = tree.n_nodes
-    d = X.shape[1]
-    bb_min = np.empty((m, d))
-    bb_max = np.empty((m, d))
-    # Every node's covered set is one contiguous perm slice (per-subtree
-    # layout guaranteed by build_tree), so boxes come from slice min/max.
-    for i in range(m):
-        lo, hi = tree._span(i)
-        pts = X[tree.perm[lo:hi]]
-        bb_min[i] = pts.min(0)
-        bb_max[i] = pts.max(0)
+    # Every node's covered set is one perm slice, so all boxes come from
+    # one segmented min/max over the permuted points: reduceat over the
+    # interleaved bounds [lo0, hi0, lo1, hi1, ...] reduces each [lo, hi)
+    # at the even positions (a sentinel row keeps hi = n a valid index).
+    Xp = X[np.append(tree.perm, tree.perm[:1])]
+    bounds = np.column_stack([tree.pt_start, tree.pt_end]).ravel()
+    bb_min = np.minimum.reduceat(Xp, bounds)[::2]
+    bb_max = np.maximum.reduceat(Xp, bounds)[::2]
     return KDTree(tree=tree, bb_min=bb_min, bb_max=bb_max)
