@@ -34,7 +34,8 @@ def main(argv=None) -> int:
         f"method={args.method} iters={res.iters_run}\n"
         f"sse={res.sse:.4e} algo_time={c.assign_time + c.refine_time:.4f}s "
         f"wall={res.total_time:.2f}s "
-        f"iter_p50={1e3 * statistics.median(res.iter_times):.0f}ms\n"
+        f"iter_p50={1e3 * statistics.median(res.iter_times):.0f}ms "
+        f"seed={1e3 * res.seed_time:.0f}ms\n"
         f"dist={c.dist} pruned={c.pruned_fraction(X.shape[0], args.k, res.iters_run):.1%} "
         f"data_access={c.data_access} bound_access={c.bound_access} "
         f"node_access={c.node_access} footprint={c.footprint_bytes}B"

@@ -107,24 +107,46 @@ def cdist_cc(C1: np.ndarray, C2: np.ndarray) -> np.ndarray:
 
 
 def kmeans_pp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Standard k-means++ seeding (Arthur & Vassilvitskii), deterministic."""
+    """Standard k-means++ seeding (Arthur & Vassilvitskii), deterministic.
+
+    Exact and pruned with Elkan's inter-centroid bound (§4.1): a point
+    whose nearest chosen centre ``own`` satisfies
+    ``d(c_own, c_j) >= 2·d(x, c_own)`` cannot get closer to the new
+    centre ``c_j``, so only the other points' squared distances are
+    recomputed. A relative margin of 1e-9 absorbs rounding, and the
+    recomputed entries use the unpruned expression, so ``d2`` — and with
+    it every draw — is bit-identical to recomputing all n points.
+    Each draw is ``rng.choice(n, p=d2 / total)``'s own inverse-CDF
+    sampling on the same stream, without its validation passes over n.
+    """
     rng = np.random.default_rng(seed)
     n = X.shape[0]
     k = min(k, n)
     centers = np.empty((k, X.shape[1]), dtype=np.float64)
     idx = rng.integers(n)
     centers[0] = X[idx]
-    d2 = np.einsum("ij,ij->i", X - centers[0], X - centers[0])
+    diff = X - centers[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    own = np.zeros(n, dtype=np.int64)
     for j in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise ValueError("k-means++ seeding needs finite input")
         if total <= 0:
             centers[j:] = X[rng.integers(n, size=k - j)]
             break
-        probs = d2 / total
-        idx = rng.choice(n, p=probs)
+        cdf = np.cumsum(d2 / total)
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
         centers[j] = X[idx]
-        nd2 = np.einsum("ij,ij->i", X - centers[j], X - centers[j])
-        np.minimum(d2, nd2, out=d2)
+        dc = centers[:j] - centers[j]
+        cc2 = np.einsum("ij,ij->i", dc, dc)
+        cand = np.flatnonzero(cc2[own] * (1.0 - 1e-9) < 4.0 * d2)
+        diff = X[cand] - centers[j]
+        nd2 = np.einsum("ij,ij->i", diff, diff)
+        closer = nd2 < d2[cand]
+        d2[cand[closer]] = nd2[closer]
+        own[cand[closer]] = j
     return centers
 
 

@@ -40,6 +40,7 @@ class RunResult:
     iter_times: list[float] = field(default_factory=list)
     assign: np.ndarray | None = None   # final assignment
     sse: float = float("nan")
+    seed_time: float = 0.0             # wall time of seeding (0 when centers0 is given)
 
     @property
     def total_time(self) -> float:
@@ -124,15 +125,17 @@ def _drive(X, k, kernel, n_iters, seed, init, centers0, start) -> RunResult:
     final assignment of all points.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
-    centers = (
-        centers0.astype(np.float64).copy()
-        if centers0 is not None
-        else _init_centers(X, k, seed, init)
-    )
+    seed_time = 0.0
+    if centers0 is not None:
+        centers = centers0.astype(np.float64).copy()
+    else:
+        t0 = time.perf_counter()
+        centers = _init_centers(X, k, seed, init)
+        seed_time = time.perf_counter() - t0
     step, final = start(X, centers.shape[0])
     groups = None
     prev = centers.copy()
-    res = RunResult(centers=centers, counters=Counters(), iters_run=0)
+    res = RunResult(centers=centers, counters=Counters(), iters_run=0, seed_time=seed_time)
     for t in range(n_iters):
         t_iter = time.perf_counter()
         ctx = make_ctx(centers, prev, t, kernel.needs, groups=groups)

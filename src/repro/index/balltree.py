@@ -17,11 +17,8 @@ DEFAULT_CAPACITY = 30
 def build_balltree(X: np.ndarray, capacity: int = DEFAULT_CAPACITY, seed: int = 0) -> ArrayTree:
     X = np.ascontiguousarray(X, dtype=np.float64)
 
-    def split(idx: np.ndarray):
-        pts = X[idx]
-        mean = pts.mean(0)
-        d0 = np.einsum("ij,ij->i", pts - mean, pts - mean)
-        p1 = pts[int(d0.argmax())]
+    def split(idx: np.ndarray, pts: np.ndarray, d2: np.ndarray):
+        p1 = pts[int(d2.argmax())]
         d1 = np.einsum("ij,ij->i", pts - p1, pts - p1)
         p2 = pts[int(d1.argmax())]
         axis = p2 - p1

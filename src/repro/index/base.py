@@ -96,16 +96,18 @@ def compute_spans(tree: "ArrayTree") -> np.ndarray:
 
 def build_tree(
     X: np.ndarray,
-    split: Callable[[np.ndarray], Sequence[np.ndarray] | None],
+    split: Callable[[np.ndarray, np.ndarray, np.ndarray], Sequence[np.ndarray] | None],
     capacity: int,
 ) -> ArrayTree:
     """Generic top-down builder.
 
-    ``split(idx)`` partitions a set of point indices into ≥2 groups, or
-    returns ``None`` to force a leaf. Nodes with ≤ ``capacity`` points
-    become leaves. A node gets its id, and a leaf its points, when it is
-    popped, so ids run in DFS pre-order and every subtree covers one
-    ``perm`` slice.
+    ``split(idx, pts, d2)`` partitions a set of point indices into ≥2
+    groups, or returns ``None`` to force a leaf. It gets the node's
+    points ``pts = X[idx]`` and their squared distances ``d2`` to the
+    node's pivot, which the builder computes once for the node's own
+    statistics. Nodes with ≤ ``capacity`` points become leaves. A node
+    gets its id, and a leaf its points, when it is popped, so ids run in
+    DFS pre-order and every subtree covers one ``perm`` slice.
     """
     n, d = X.shape
     pivot, radius, sv, num, psi, height, parent, pt_start = [], [], [], [], [], [], [], []
@@ -120,7 +122,9 @@ def build_tree(
         pts = X[idx]
         s = pts.sum(0)
         p = s / len(idx)
-        r = float(np.sqrt(np.max(np.einsum("ij,ij->i", pts - p, pts - p)))) if len(idx) else 0.0
+        diff = pts - p
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        r = float(np.sqrt(d2.max())) if len(idx) else 0.0
         pivot.append(p)
         sv.append(s)
         radius.append(r)
@@ -131,7 +135,7 @@ def build_tree(
         pt_start.append(cursor)
         groups = None
         if len(idx) > capacity:
-            groups = split(idx)
+            groups = split(idx, pts, d2)
             if groups is not None:
                 groups = [g for g in groups if len(g) > 0]
                 if len(groups) < 2:

@@ -21,10 +21,7 @@ def build_covertree(X: np.ndarray, capacity: int = DEFAULT_CAPACITY, seed: int =
     X = np.ascontiguousarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
 
-    def split(idx: np.ndarray):
-        pts = X[idx]
-        mean = pts.mean(0)
-        d2 = np.einsum("ij,ij->i", pts - mean, pts - mean)
+    def split(idx: np.ndarray, pts: np.ndarray, d2: np.ndarray):
         r = float(np.sqrt(d2.max()))
         if r <= 0:
             return None

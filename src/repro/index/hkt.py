@@ -22,8 +22,7 @@ def build_hkt(
     X = np.ascontiguousarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
 
-    def split(idx: np.ndarray):
-        pts = X[idx]
+    def split(idx: np.ndarray, pts: np.ndarray, d2: np.ndarray):
         b = min(branch, len(idx))
         seeds = pts[rng.choice(len(idx), size=b, replace=False)]
         assign = np.zeros(len(idx), dtype=np.int64)

@@ -27,8 +27,7 @@ class KDTree:
 def build_kdtree(X: np.ndarray, capacity: int = 1, seed: int = 0) -> KDTree:
     X = np.ascontiguousarray(X, dtype=np.float64)
 
-    def split(idx: np.ndarray):
-        pts = X[idx]
+    def split(idx: np.ndarray, pts: np.ndarray, d2: np.ndarray):
         spread = pts.max(0) - pts.min(0)
         dim = int(spread.argmax())
         if spread[dim] <= 0:

@@ -20,8 +20,7 @@ def build_mtree(X: np.ndarray, capacity: int = DEFAULT_CAPACITY, seed: int = 0) 
     X = np.ascontiguousarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
 
-    def split(idx: np.ndarray):
-        pts = X[idx]
+    def split(idx: np.ndarray, pts: np.ndarray, d2: np.ndarray):
         a, b = rng.choice(len(idx), size=2, replace=False)
         pa, pb = pts[a], pts[b]
         if np.array_equal(pa, pb):
