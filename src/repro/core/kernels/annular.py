@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..linalg import candidate_dists, pair_dists
+from ...index.base import slices
+from ..linalg import candidate_dists, full_dists, pair_dists
 from ..metrics import Counters
-from .base import ranges_to_pairs, register, rowwise_top2_pairs
+from .base import full_assign, register, rowwise_top2_pairs
 from .hamerly import HamerlyKernel
-from ..linalg import full_dists
-from .base import full_assign
 
 _SQRT_EPS = np.sqrt(np.finfo(np.float64).eps)
 
@@ -58,8 +57,8 @@ class AnnularKernel(HamerlyKernel):
         r = w + 2 * _SQRT_EPS * (2 * xnorm + w)
         lo = np.searchsorted(ctx.norm_sorted, xnorm - r, side="left")
         hi = np.searchsorted(ctx.norm_sorted, xnorm + r, side="right")
-        rows, pos = ranges_to_pairs(hi - lo)
-        cols = ctx.norm_order[lo[rows] + pos]
+        idx, rows = slices(lo, hi)
+        cols = ctx.norm_order[idx]
         d = candidate_dists(X, ctx.centers, fail, rows, cols, counters, x2=st["x2"], c2=ctx.c2)
         # Per-row top-2 among candidates (assigned centroid is always a
         # candidate since |‖c_a‖ − ‖x‖| ≤ d(x, c_a) ≤ w).

@@ -18,7 +18,9 @@ Contract:
   assignment and bound setup.
 
 Every kernel is exact: after each call, ``st['a']`` must equal plain
-Lloyd's assignment for the same centroids (ties aside).
+Lloyd's assignment for the same centroids (ties aside). The tree kernels
+(index, kdindex, search, unik) also break exact ties like Lloyd's
+``argmin``, toward the lowest centroid id.
 """
 from __future__ import annotations
 
@@ -87,18 +89,6 @@ def top2_from_full(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     part[swap] = part[swap][:, ::-1]
     vals[swap] = vals[swap][:, ::-1]
     return part[:, 0].astype(np.int64), vals[:, 0], vals[:, 1], part[:, 1].astype(np.int64)
-
-
-def ranges_to_pairs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expand per-row candidate counts into (row_repeat, within_row_pos)."""
-    counts = counts.astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    rows = np.repeat(np.arange(len(counts)), counts)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    pos = np.arange(total) - offsets
-    return rows, pos
 
 
 def rowwise_min_pairs(

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...index.base import slices
 from ..linalg import candidate_dists
 from ..metrics import Counters
-from .base import ranges_to_pairs, register, rowwise_top2_pairs
+from .base import register, rowwise_top2_pairs
 from .hamerly import HamerlyKernel
 
 
@@ -28,7 +29,7 @@ class ExponionKernel(HamerlyKernel):
         # Candidates: prefix of the assigned centroid's sorted neighbour
         # row whose cc distance is ≤ R (always includes a and its nn).
         cnt = (ctx.cc_sorted[aR] <= R[:, None]).sum(1).astype(np.int64)
-        rows, pos = ranges_to_pairs(cnt)
+        pos, rows = slices(np.zeros_like(cnt), cnt)
         cols = ctx.cc_order[aR[rows], pos]
         d = candidate_dists(X, ctx.centers, fail, rows, cols, counters, x2=st["x2"], c2=ctx.c2)
         d1, c1, d2, _ = rowwise_top2_pairs(len(fail), rows, cols, d)

@@ -3,14 +3,15 @@
 Before the sequential pass, a range search around each centroid c_j
 with threshold s(j) = ‖c_j − c_nearest‖/2 finds points provably closer
 to c_j than to any other centroid; those are assigned directly. The
-remaining points fall back to a full sequential scan. Uses the
-partition-local Ball-tree for the similarity searches.
+remaining points fall back to a full sequential scan. The k searches
+run as one frontier-at-once descent of the partition-local Ball-tree.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ...index.balltree import build_balltree
+from ...index.base import range_hits
 from ..ctx import IterCtx
 from ..linalg import full_dists
 from ..metrics import Counters
@@ -30,38 +31,20 @@ class SearchKernel(Kernel):
             "tree": build_balltree(X, capacity=self.capacity),
         }
 
-    def _range_search(self, tree, X, q, thresh, counters: Counters) -> np.ndarray:
-        """Counting variant of ArrayTree.range_search."""
-        out: list[np.ndarray] = []
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            counters.node_access += 1
-            dq = float(np.linalg.norm(q - tree.pivot[i]))
-            counters.dist += 1
-            if dq - tree.radius[i] > thresh:
-                continue
-            if dq + tree.radius[i] <= thresh:
-                out.append(tree._covered(i))
-            elif tree.is_leaf(i):
-                ids = tree.leaf_points(i)
-                d = np.linalg.norm(X[ids] - q[None, :], axis=1)
-                counters.dist += len(ids)
-                counters.data_access += len(ids)
-                out.append(ids[d <= thresh])
-            else:
-                stack.extend(tree.children(i).tolist())
-        return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
-
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         n, k = X.shape[0], ctx.k
-        a = np.full(n, -1, dtype=np.int64)
-        tree = st["tree"]
-        for j in range(k):
-            ids = self._range_search(tree, X, ctx.centers[j], float(ctx.s[j]), counters)
-            ids = ids[a[ids] < 0]  # ball overlaps only at boundaries
-            a[ids] = j
-        rest = np.where(a < 0)[0]
+        # Inclusion is strict: a point at exactly s(j) may tie with
+        # another centroid, so it is left to the full scan's argmin.
+        pts, js, visits, leaf_dists = range_hits(
+            st["tree"], X, ctx.centers, np.nextafter(ctx.s, -np.inf)
+        )
+        counters.node_access += visits
+        counters.dist += visits + leaf_dists
+        counters.data_access += leaf_dists
+        # Balls meet only through rounding; the lowest centroid id wins.
+        a = np.full(n, k, dtype=np.int64)
+        np.minimum.at(a, pts, js)
+        rest = np.flatnonzero(a == k)
         if len(rest):
             D = full_dists(X[rest], ctx.centers, counters)
             a[rest] = D.argmin(1)

@@ -26,17 +26,15 @@ Equations 9–11). Concretely:
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ...index import BALL_INDEXES
-from ...index.base import compute_spans
+from ...index.base import children, covered, slices
 from ..ctx import IterCtx
 from ..linalg import candidate_dists, full_dists, pair_dists
 from ..metrics import Counters
 from .base import Kernel, register, top2_from_full
-from .index_kernel import children, covered, leaf_pairs, node_dists, segment_min, slices
+from .index_kernel import leaf_pairs, node_dists, segment_min
 
 
 def _hamerly_points(X, idx, a, ub, lb, st, ctx, counters: Counters) -> None:
@@ -85,7 +83,6 @@ class UniKKernel(Kernel):
         return {
             "a": np.full(n, -1, dtype=np.int64),
             "tree": tree,
-            "spans": compute_spans(tree),
             "x2": np.einsum("ij,ij->i", X, X),
             "node_active": np.zeros(m, dtype=bool),    # batch-assigned subtree roots
             "node_assigned": np.full(m, -1, dtype=np.int64),
@@ -272,7 +269,7 @@ class UniKKernel(Kernel):
             self._flat_pass(X, st, ctx, counters)
 
     def footprint(self, st: dict) -> int:
-        tot = st["tree"].nbytes() + st["spans"].nbytes
+        tot = st["tree"].nbytes()
         for key in ("ub", "lb", "node_slack", "node_assigned", "node_active",
                     "dissolved", "pt_mask", "x2"):
             tot += st[key].nbytes

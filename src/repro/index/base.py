@@ -13,11 +13,13 @@ Nodes are numbered in DFS pre-order, and leaves take their points in the
 same order, so a subtree is two contiguous ranges: its nodes are the ids
 ``[i, subtree_end[i])`` and its points are ``perm[pt_start[i]:pt_end[i]]``.
 Batch-assigning or resetting a whole subtree is therefore a slice write,
-never a search over the m nodes.
+never a search over the m nodes. The frontier helpers below work on many
+nodes at once over this layout; ``range_hits`` is the one range-query
+engine (Search and ``ArrayTree.range_search``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,56 +44,97 @@ class ArrayTree:
     def n_nodes(self) -> int:
         return self.pivot.shape[0]
 
-    def is_leaf(self, i: int) -> bool:
-        return self.child_start[i] == self.child_start[i + 1]
-
     def children(self, i: int) -> np.ndarray:
         return self.child_idx[self.child_start[i] : self.child_start[i + 1]]
-
-    def leaf_points(self, i: int) -> np.ndarray:
-        """Original point indices covered by leaf ``i``."""
-        return self.perm[self.pt_start[i] : self.pt_end[i]]
 
     def leaf_mask(self) -> np.ndarray:
         return self.child_start[:-1] == self.child_start[1:]
 
     def nbytes(self) -> int:
-        return sum(
-            a.nbytes
-            for a in (
-                self.pivot, self.radius, self.sv, self.num, self.psi,
-                self.height, self.child_start, self.child_idx,
-                self.pt_start, self.pt_end, self.subtree_end, self.perm,
-            )
-        )
+        return sum(getattr(self, f.name).nbytes for f in fields(self))
 
     def range_search(self, X: np.ndarray, q: np.ndarray, thresh: float) -> np.ndarray:
-        """Point ids within ``thresh`` of ``q`` (used by the Search method)."""
-        out: list[np.ndarray] = []
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            dq = float(np.linalg.norm(q - self.pivot[i]))
-            if dq - self.radius[i] > thresh:
-                continue
-            ids = self._covered(i)
-            if dq + self.radius[i] <= thresh:
-                out.append(ids)
-            elif self.is_leaf(i):
-                d = np.linalg.norm(X[ids] - q[None, :], axis=1)
-                out.append(ids[d <= thresh])
-            else:
-                stack.extend(self.children(i).tolist())
-        return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+        """Point ids within ``thresh`` of ``q`` (one query of :func:`range_hits`)."""
+        return range_hits(self, X, q[None, :], np.array([thresh], dtype=np.float64))[0]
 
     def _covered(self, i: int) -> np.ndarray:
         """All point ids under node ``i`` (one contiguous ``perm`` slice)."""
         return self.perm[self.pt_start[i] : self.pt_end[i]]
 
+    leaf_points = _covered
 
-def compute_spans(tree: "ArrayTree") -> np.ndarray:
-    """(m, 2) perm-slice [lo, hi) per node."""
-    return np.stack([tree.pt_start, tree.pt_end], axis=1)
+
+#: Floats in one (pairs, d) temporary of a blocked pair computation, so
+#: a block holds ``BLOCK // d`` pairs and stays near cache size whatever
+#: the frontier's width.
+BLOCK = 1 << 15
+
+
+def blocks(n_pairs: int, d: int) -> list[slice]:
+    """Consecutive slices of at most ``BLOCK // d`` pairs covering ``n_pairs``."""
+    step = max(1, BLOCK // d)
+    return [slice(s, s + step) for s in range(0, n_pairs, step)]
+
+
+def slices(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ``arange(lo[r], hi[r])`` over rows r, and each element's row."""
+    counts = hi - lo
+    rows = np.repeat(np.arange(len(lo)), counts)
+    return np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(len(rows)), rows
+
+
+def children(tree: ArrayTree, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Child ids of every node in ``nodes``, and each child's row in ``nodes``."""
+    pos, rows = slices(tree.child_start[nodes], tree.child_start[nodes + 1])
+    return tree.child_idx[pos], rows
+
+
+def covered(tree: ArrayTree, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Point ids under every node in ``nodes`` (disjoint subtrees), and their rows."""
+    pos, rows = slices(tree.pt_start[nodes], tree.pt_end[nodes])
+    return tree.perm[pos], rows
+
+
+def range_hits(
+    tree: ArrayTree, X: np.ndarray, Q: np.ndarray, thresh: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Every (point, query) pair with ``d(X[point], Q[query]) <= thresh[query]``.
+
+    All queries descend together: a frontier row is (node, query), so the
+    number of Python steps is the tree depth. A row whose ball lies beyond
+    the threshold is dropped, one whose ball lies within it yields its
+    whole perm slice, a leaf checks its points and an inner node expands
+    into its children. Returns the hit points, their queries, and the
+    number of node rows and leaf-point distances evaluated.
+    """
+    is_leaf = tree.leaf_mask()
+    qs = np.arange(len(Q))
+    nodes = np.zeros(len(Q), dtype=np.int64)
+    hit_pts, hit_qs = [], []
+    visits = leaf_dists = 0
+    while len(nodes):
+        visits += len(nodes)
+        t = thresh[qs]
+        dq = np.linalg.norm(Q[qs] - tree.pivot[nodes], axis=1)
+        r = tree.radius[nodes]
+        live = dq - r <= t
+        whole = live & (dq + r <= t)
+        leaf = live & ~whole & is_leaf[nodes]
+        pts, rows = covered(tree, nodes[whole])
+        hit_pts.append(pts)
+        hit_qs.append(qs[whole][rows])
+        pts, rows = covered(tree, nodes[leaf])
+        q = qs[leaf][rows]
+        near = np.empty(len(pts), dtype=bool)
+        for b in blocks(len(pts), X.shape[1]):
+            near[b] = np.linalg.norm(X[pts[b]] - Q[q[b]], axis=1) <= thresh[q[b]]
+        leaf_dists += len(pts)
+        hit_pts.append(pts[near])
+        hit_qs.append(q[near])
+        inner = live & ~whole & ~leaf
+        nodes, rows = children(tree, nodes[inner])
+        qs = qs[inner][rows]
+    return np.concatenate(hit_pts), np.concatenate(hit_qs), visits, leaf_dists
 
 
 def build_tree(

@@ -24,7 +24,7 @@ class KDTree:
         return self.tree.nbytes() + self.bb_min.nbytes + self.bb_max.nbytes
 
 
-def build_kdtree(X: np.ndarray, capacity: int = 1, seed: int = 0) -> KDTree:
+def build_kdtree(X: np.ndarray, capacity: int = 1) -> KDTree:
     X = np.ascontiguousarray(X, dtype=np.float64)
 
     def split(idx: np.ndarray, pts: np.ndarray, d2: np.ndarray):

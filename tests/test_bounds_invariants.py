@@ -170,7 +170,7 @@ def test_unik_node_slack_sound(setup):
         act = np.where(st["node_active"] & (st["node_slack"] > 0))[0]
         tree = st["tree"]
         for i in act:
-            lo, hi = st["spans"][i]
+            lo, hi = tree.pt_start[i], tree.pt_end[i]
             pts = tree.perm[lo:hi]
             assert (true_a[pts] == st["node_assigned"][i]).all()
 

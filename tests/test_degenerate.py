@@ -30,3 +30,21 @@ def test_one_dimension_matches_lloyd_to_convergence(method):
     assert (got.assign == ref.assign).all()
     assert got.iters_run == ref.iters_run
     assert np.allclose(got.centers, ref.centers)
+
+
+@pytest.mark.parametrize("seed", range(16))
+@pytest.mark.parametrize("method", ["index", "kdindex", "search", "unik"])
+def test_exact_ties_match_lloyd(method, seed):
+    """Integer points and half-integer centroids put many points at exactly
+    equal distance from two centroids. A tree kernel must break every such
+    tie like Lloyd's argmin, toward the lowest centroid id: kdindex used to
+    prune a centroid tied with z* at the box corner, and search took points
+    at exactly s(j) into centroid j's ball."""
+    rng = np.random.default_rng(seed)
+    d, k = [1, 2, 3][seed % 3], [3, 5, 8, 12][seed % 4]
+    X = rng.integers(0, 6, (400, d)).astype(float)
+    C0 = X[rng.choice(len(X), k, replace=False)] + rng.integers(0, 2, (k, d)) * 0.5
+    ref = LocalRunner().run(X, k, make_kernel("lloyd"), n_iters=20, centers0=C0)
+    got = LocalRunner().run(X, k, make_kernel(method), n_iters=20, centers0=C0)
+    assert (got.assign == ref.assign).all()
+    assert got.iters_run == ref.iters_run

@@ -11,7 +11,6 @@ from repro.index import (
     build_kdtree,
     build_mtree,
 )
-from repro.index.base import compute_spans
 
 
 @pytest.fixture(scope="module")
@@ -69,15 +68,6 @@ def test_heights_increase_down(X, name, builder):
     for i in range(t.n_nodes):
         for c in t.children(i):
             assert t.height[c] == t.height[i] + 1
-
-
-@pytest.mark.parametrize("name,builder", BUILDERS)
-def test_spans_match_covered(X, name, builder):
-    t = builder(X)
-    spans = compute_spans(t)
-    for i in range(t.n_nodes):
-        lo, hi = spans[i]
-        assert sorted(t.perm[lo:hi]) == sorted(t._covered(i))
 
 
 @pytest.mark.parametrize("capacity", [1, 10, 30, 100])

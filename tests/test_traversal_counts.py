@@ -1,11 +1,12 @@
 """Golden counts for the tree kernels.
 
 Traversal order and node numbering are implementation choices: every
-pruning decision of INDE and UniK is made per root-to-node path, so the
-exact distance, node, data and bound counts must not depend on them.
-The literals below were recorded with the node-at-a-time DFS traversal
-on the stack-ordered tree layout; any change to how nodes are numbered
-or visited has to reproduce them exactly.
+pruning decision of INDE, kdindex, UniK and Search is made per
+root-to-node path, so the exact distance, node, data and bound counts
+must not depend on them. The literals below were recorded with
+node-at-a-time traversals (INDE and UniK on the stack-ordered tree
+layout, kdindex and Search on the pre-order one); any change to how
+nodes are numbered or visited has to reproduce them exactly.
 """
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ DATASETS = {  # the lowd/highd configs of test_kernels_exact.py
 
 FIELDS = ("dist", "node_access", "data_access", "bound_access", "bound_update")
 
-# (kernel, index or traversal, dataset, k) -> FIELDS after 8 iterations, seed 0
+# (kernel, index or traversal, dataset, k) -> FIELDS after 8 iterations, seed 0;
+# kdindex and search run with their defaults (no variant)
 GOLDEN = {
     ("index", "balltree", "lowd", 8): (12972, 1000, 11735, 0, 0),
     ("index", "covertree", "lowd", 8): (5732, 822, 6241, 0, 0),
@@ -44,6 +46,14 @@ GOLDEN = {
     ("unik", "adaptive", "highd", 40): (189300, 264, 178693, 23761, 21251),
     ("unik", "index-single", "highd", 40): (189300, 264, 178693, 23761, 21251),
     ("unik", "index-multiple", "highd", 40): (208118, 984, 178693, 20001, 21251),
+    ("kdindex", None, "lowd", 8): (18300, 2424, 2735, 0, 0),
+    ("kdindex", None, "lowd", 40): (109224, 10580, 2954, 0, 0),
+    ("kdindex", None, "highd", 8): (229398, 11420, 2097, 0, 0),
+    ("kdindex", None, "highd", 40): (1075146, 13470, 1487, 0, 0),
+    ("search", None, "lowd", 8): (44402, 2566, 44347, 0, 0),
+    ("search", None, "lowd", 40): (394467, 10096, 381085, 0, 0),
+    ("search", None, "highd", 8): (122608, 7748, 116733, 0, 0),
+    ("search", None, "highd", 40): (543752, 38096, 500903, 0, 0),
 }
 
 # extract_features(lowd, k=40) with the default Ball-tree
@@ -59,10 +69,12 @@ def data():
     return {name: gaussian_mixture(**cfg) for name, cfg in DATASETS.items()}
 
 
-@pytest.mark.parametrize("key", list(GOLDEN), ids=lambda key: "-".join(map(str, key)))
+@pytest.mark.parametrize(
+    "key", list(GOLDEN), ids=lambda key: "-".join(str(p) for p in key if p is not None)
+)
 def test_counts_match_golden(data, key):
     name, variant, ds, k = key
-    kw = {"index": variant} if name == "index" else {"traversal": variant}
+    kw = {"index": {"index": variant}, "unik": {"traversal": variant}}.get(name, {})
     res = LocalRunner().run(data[ds], k, make_kernel(name, **kw), n_iters=8, seed=0)
     got = tuple(getattr(res.counters, f) for f in FIELDS)
     assert dict(zip(FIELDS, got)) == dict(zip(FIELDS, GOLDEN[key]))

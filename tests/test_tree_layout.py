@@ -7,7 +7,6 @@ from repro.core.kernels import make_kernel
 from repro.core.kernels.unik import UniKKernel
 from repro.core.runner import LocalRunner
 from repro.index import BALL_INDEXES, build_kdtree
-from repro.index.base import compute_spans
 from repro.synth_data import gaussian_mixture
 
 
@@ -43,15 +42,14 @@ def test_ids_are_preorder(X, name, build):
 @pytest.mark.parametrize("name,build", TREES, ids=[n for n, _ in TREES])
 def test_subtree_is_an_id_range_and_a_perm_slice(X, name, build):
     tree = build(X)
-    spans = compute_spans(tree)
     leaves = tree.leaf_mask()
     for i in range(tree.n_nodes):
         end = int(tree.subtree_end[i])
         assert _descendants(tree, i) == list(range(i + 1, end))
-        # The leaves in [i, end), in id order, tile spans[i] exactly.
+        # The leaves in [i, end), in id order, tile i's perm slice exactly.
         ids = [j for j in range(i, end) if leaves[j]]
-        assert tree.pt_start[ids[0]] == spans[i, 0]
-        assert tree.pt_end[ids[-1]] == spans[i, 1]
+        assert tree.pt_start[ids[0]] == tree.pt_start[i]
+        assert tree.pt_end[ids[-1]] == tree.pt_end[i]
         assert (tree.pt_start[ids[1:]] == tree.pt_end[ids[:-1]]).all()
 
 
