@@ -19,8 +19,8 @@ Contract:
 
 Every kernel is exact: after each call, ``st['a']`` must equal plain
 Lloyd's assignment for the same centroids (ties aside). The tree kernels
-(index, kdindex, search, unik) also break exact ties like Lloyd's
-``argmin``, toward the lowest centroid id.
+(index, kdindex, search, unik), yinyang and regroup also break exact ties
+like Lloyd's ``argmin``, toward the lowest centroid id.
 """
 from __future__ import annotations
 

@@ -13,25 +13,44 @@ global → group → local pipeline:
 Yinyang fixes the grouping at iteration 0 (``fixed_groups``); Regroup
 recomputes it every iteration and remaps the group bounds through the
 per-centre bounds, keeping them valid under the new grouping.
+
+Past the global filter the step works on (point, group) segments over a
+group-contiguous centroid order: each survivor expands only its
+candidate groups and its own centroid's group, and a group it does not
+expand gets ``lbg_pre − group_delta_max``, the exact minimum of its
+per-centre bounds (DESIGN.md §2).
 """
 from __future__ import annotations
 
 import numpy as np
 
+from ...index.base import slices
 from ..ctx import IterCtx
 from ..linalg import candidate_dists, full_dists, pair_dists
 from ..metrics import Counters
-from .base import Kernel, register, top2_from_full
+from .base import Kernel, register
 
 
-def _group_min(M: np.ndarray, groups: np.ndarray, t: int) -> np.ndarray:
-    """Column-group minima of a dense matrix → (rows × t)."""
-    out = np.full((M.shape[0], t), np.inf)
-    for g in range(t):
-        cols = np.where(groups == g)[0]
-        if len(cols):
-            out[:, g] = M[:, cols].min(1)
+def _group_min(M: np.ndarray, order: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Per-group column minima of ``M`` → (rows × t), where group g owns the
+    ``count[g]`` columns after groups 0..g−1 in ``order``; an empty group
+    gives +inf."""
+    out = np.full((M.shape[0], len(count)), np.inf)
+    ends = np.cumsum(count)
+    for g in np.flatnonzero(count):
+        out[:, g] = M[:, order[ends[g] - count[g] : ends[g]]].min(1)
     return out
+
+
+def _layout(groups: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group-contiguous centroid order: group g is ``order[start[g]:start[g] + count[g]]``
+    in ascending id; ``rank[j]`` is centroid j's position in ``order``."""
+    order = np.argsort(groups, kind="stable")
+    count = np.bincount(groups, minlength=t)
+    start = np.cumsum(count) - count
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return order, start, count, rank
 
 
 class _YinyangBase(Kernel):
@@ -49,10 +68,12 @@ class _YinyangBase(Kernel):
 
     def _first(self, X, st, ctx, counters):
         D = full_dists(X, ctx.centers, counters)
-        a, d1, _, _ = top2_from_full(D)
-        Dm = D.copy()
-        Dm[np.arange(len(a)), a] = np.inf
-        st["lbg"] = _group_min(Dm, ctx.groups, ctx.n_groups)
+        rows = np.arange(len(X))
+        a = D.argmin(1)
+        d1 = D[rows, a]
+        D[rows, a] = np.inf
+        order, _, count, _ = _layout(ctx.groups, ctx.n_groups)
+        st["lbg"] = _group_min(D, order, count)
         st["a"], st["ub"] = a, d1
         st["groups"] = ctx.groups.copy()
         counters.bound_update += st["lbg"].size + len(a)
@@ -63,21 +84,30 @@ class _YinyangBase(Kernel):
             return
         n, k, t = X.shape[0], ctx.k, ctx.n_groups
         a, ub, lbg = st["a"], st["ub"], st["lbg"]
-        gold = st["groups"]
+        gold, groups, delta = st["groups"], ctx.groups, ctx.delta
         # Per-centre bounds from the *pre-drift* group bounds: tighter
         # than group-level drift adjustment and valid under regrouping.
-        ub += ctx.delta[a]
+        ub += delta[a]
         counters.bound_update += n
-        if np.array_equal(gold, ctx.groups):
+        if np.array_equal(gold, groups):
             lbg_pre = lbg.copy()
             lbg -= ctx.group_delta_max[None, :]
             counters.bound_update += n * t
         else:  # Regroup: remap bounds onto the new grouping
-            B = lbg[:, gold] - ctx.delta[None, :]  # per-centre bounds, n×k
-            lbg = _group_min(B, ctx.groups, t)
+            # New group g's bound is the min over its centres j of the
+            # per-centre bound lbg[:, gold[j]] − δ_j. fl(x − δ) falls as δ
+            # grows, so over the centres one old group sends to g that min
+            # is lbg[:, old] − (their largest δ), bit for bit: one column
+            # per (new, old) group pair instead of one per centre.
+            t_old = lbg.shape[1]
+            pair, inv = np.unique(groups * t_old + gold, return_inverse=True)
+            dmax = np.zeros(len(pair))
+            np.maximum.at(dmax, inv, delta)
+            count = np.bincount(pair // t_old, minlength=t)
+            lbg = _group_min(lbg[:, pair % t_old] - dmax, np.arange(len(pair)), count)
             lbg_pre = lbg + 0.0  # already per new groups; reuse as pre
             st["lbg"] = lbg
-            st["groups"] = ctx.groups.copy()
+            st["groups"] = groups.copy()
             counters.bound_update += n * k
         gmin = lbg.min(1)
         counters.bound_access += n * t + n
@@ -92,27 +122,60 @@ class _YinyangBase(Kernel):
         if len(R) == 0:
             return
         m = len(R)
-        ubR = ub[R]
-        # Per-centre bounds for the survivors.
-        Bc = lbg_pre[R][:, ctx.groups] - ctx.delta[None, :]
+        ubR, aR = ub[R], a[R]
         counters.bound_access += m * k
-        group_ok = lbg[R] < ubR[:, None]               # group filter
-        mask = group_ok[:, ctx.groups] & (Bc < ubR[:, None])  # local filter
-        mask[np.arange(m), a[R]] = False
-        rr, cols = np.nonzero(mask)
-        d = candidate_dists(X, ctx.centers, R, rr, cols, counters, x2=st["x2"], c2=ctx.c2)
-        Dm = np.full((m, k), np.inf)
-        Dm[np.arange(m), a[R]] = ubR
-        Dm[rr, cols] = d
-        jstar = Dm.argmin(1)
-        dbest = Dm[np.arange(m), jstar]
+        order, start, count, rank = _layout(groups, t)
+        # A survivor expands its candidate groups (group filter lbg < ub)
+        # and its own centroid's group, which carries ub. Segments are
+        # (row, group) in row-major order, so each row's pairs are one run.
+        ok = lbg[R] < ubR[:, None]
+        expand = ok.copy()
+        expand[np.arange(m), groups[aR]] = True
+        seg_id = np.cumsum(expand.ravel()).reshape(m, t) - 1
+        sr, sg = np.nonzero(expand)
+        seg_len = count[sg]
+        seg_start = np.cumsum(seg_len) - seg_len
+        pos, seg = slices(start[sg], start[sg] + seg_len)
+        cols = order[pos]
+
+        def at(j):  # index of each row's pair with centroid j[row]
+            g = groups[j]
+            return seg_start[seg_id[np.arange(m), g]] + rank[j] - start[g]
+
+        # Local filter: centre j's bound lbg_pre[g] − δ_j against ub, in
+        # candidate groups only (−inf shuts the others); the own centroid
+        # is already exact.
+        bc = lbg_pre[R[sr], sg][seg]
+        bc -= delta[cols]
+        keep = bc < np.where(ok[sr, sg], ubR[sr], -np.inf)[seg]
+        ia = at(aR)
+        keep[ia] = False
+        ask = np.flatnonzero(keep)
+        rows, ccols = sr[seg[ask]], cols[ask]
+        d = candidate_dists(X, ctx.centers, R, rows, ccols, counters, x2=st["x2"], c2=ctx.c2)
+        # New centroid: the first minimum by centroid id (Lloyd's argmin)
+        # over the computed pairs, then against the own centroid at ub.
+        n_ask = np.bincount(rows, minlength=m)
+        has = np.flatnonzero(n_ask)
+        first = (np.cumsum(n_ask) - n_ask)[has]
+        dmin = np.full(m, np.inf)
+        jmin = np.full(m, k)
+        dmin[has] = np.minimum.reduceat(d, first)
+        jmin[has] = np.minimum.reduceat(np.where(d == dmin[rows], ccols, k), first)
+        stay = (ubR < dmin) | ((ubR == dmin) & (aR < jmin))
+        jstar = np.where(stay, aR, jmin)
         # New group bounds: exact distances where computed, per-centre
-        # bounds elsewhere; the newly assigned centre is excluded.
-        L = np.where(np.isfinite(Dm), Dm, Bc)
-        L[np.arange(m), jstar] = np.inf
-        lbg[R] = _group_min(L, ctx.groups, t)
+        # bounds elsewhere; the newly assigned centre is excluded. A group
+        # left unexpanded holds only per-centre bounds, whose min is
+        # lbg_pre − (the group's largest δ) bit for bit.
+        bc[ask] = d
+        bc[ia] = ubR
+        bc[at(jstar)] = np.inf
+        new = lbg_pre[R] - ctx.group_delta_max[None, :]
+        new[sr, sg] = np.minimum.reduceat(bc, seg_start)
+        lbg[R] = new
         a[R] = jstar
-        ub[R] = dbest
+        ub[R] = np.where(stay, ubR, dmin)
         counters.bound_update += m * t + 2 * m
 
     def footprint(self, st: dict) -> int:

@@ -1,14 +1,20 @@
 """Vectorized distance primitives, k-means++ init, and SSE.
 
-Kernels must never evaluate distances the algorithm would not: use
-``pair_dists`` with explicit (row, col) index vectors so wall time scales
-with the number of *surviving* candidate pairs, mirroring a per-point
-implementation's cost profile.
+Kernels must never evaluate distances the algorithm would not: each one
+hands over the (point, centroid) pairs its filters ask for, through
+``pair_dists`` or ``candidate_dists``, so wall time scales with the
+number of *surviving* candidate pairs, mirroring a per-point
+implementation's cost profile. A kernel may build those pairs at its own
+grain (Yinyang expands each surviving (point, group) segment), and
+``pair_dists`` evaluates them in consecutive blocks of
+``index.base.BLOCK // d`` pairs, so its (pairs, d) gathers stay near
+cache size however many pairs are asked.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from ..index.base import blocks
 from .metrics import Counters
 
 
@@ -36,27 +42,24 @@ def pair_dists(
     """Distances for explicit (rows[i], cols[i]) point–centroid pairs.
 
     ``x2``/``c2`` are optional precomputed squared norms (kernels cache
-    the point norms once; centroid norms once per iteration).
+    the point norms once; centroid norms once per iteration). Pairs are
+    evaluated in consecutive blocks (``index.base.blocks``); each pair's
+    arithmetic is the same in any block, so the result does not depend on
+    the block size.
     """
-    if len(rows) == 0:
-        return np.empty(0)
-    if x2 is None:
-        xs = X[rows]
-        x2r = np.einsum("ij,ij->i", xs, xs)
-    else:
-        xs = X[rows]
-        x2r = x2[rows]
-    cs = C[cols]
-    if c2 is None:
-        c2r = np.einsum("ij,ij->i", cs, cs)
-    else:
-        c2r = c2[cols]
-    d2 = x2r + c2r - 2.0 * np.einsum("ij,ij->i", xs, cs)
-    np.maximum(d2, 0.0, out=d2)
+    out = np.empty(len(rows))
+    for b in blocks(len(rows), X.shape[1]):
+        xs = X[rows[b]]
+        cs = C[cols[b]]
+        x2r = np.einsum("ij,ij->i", xs, xs) if x2 is None else x2[rows[b]]
+        c2r = np.einsum("ij,ij->i", cs, cs) if c2 is None else c2[cols[b]]
+        d2 = x2r + c2r - 2.0 * np.einsum("ij,ij->i", xs, cs)
+        np.maximum(d2, 0.0, out=d2)
+        np.sqrt(d2, out=out[b])
     if counters is not None:
         counters.dist += len(rows)
         counters.data_access += len(rows)
-    return np.sqrt(d2)
+    return out
 
 
 def candidate_dists(

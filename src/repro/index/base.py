@@ -80,7 +80,9 @@ def slices(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated ``arange(lo[r], hi[r])`` over rows r, and each element's row."""
     counts = hi - lo
     rows = np.repeat(np.arange(len(lo)), counts)
-    return np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(len(rows)), rows
+    pos = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    pos += np.arange(len(rows))
+    return pos, rows
 
 
 def children(tree: ArrayTree, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -109,6 +109,35 @@ def test_yinyang_group_bounds_valid(setup):
     _iterate(X, kern, C0, 5, check)
 
 
+def test_regroup_group_bounds_valid(setup):
+    """Regroup regroups the centroids each iteration and remaps the group
+    bounds onto the new grouping; they must stay valid through it. The
+    fixture's 20 centroids keep their two groups; at k=60 (six groups)
+    the grouping changes in three of the five iterations."""
+    X, _ = setup
+    C0 = kmeans_pp_init(X, 60, seed=2)
+    kern = make_kernel("regroup")
+    seen = []
+
+    def check(st, centers):
+        D = full_dists(X, centers)
+        da = D[np.arange(len(X)), st["a"]]
+        assert (st["ub"] + TOL >= da).all()
+        groups = st["groups"]
+        seen.append(groups.copy())
+        Dm = D.copy()
+        Dm[np.arange(len(X)), st["a"]] = np.inf
+        for g in range(st["lbg"].shape[1]):
+            cols = np.where(groups == g)[0]
+            if len(cols):
+                gmin = Dm[:, cols].min(1)
+                assert (st["lbg"][:, g] - TOL <= gmin).all(), f"group {g}"
+
+    _iterate(X, kern, C0, 5, check)
+    assert any(not np.array_equal(a, b) for a, b in zip(seen, seen[1:])), \
+        "the grouping never changed, so the remap was not exercised"
+
+
 def test_drake_bounds_valid(setup):
     X, C0 = setup
 
