@@ -15,6 +15,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
+from .runner import skip_unchanged_zip_rereads
+
 
 def assign_df(df: DataFrame, centers: np.ndarray) -> DataFrame:
     """Append a ``cluster`` column: the nearest-centroid id per row.
@@ -29,6 +31,7 @@ def assign_df(df: DataFrame, centers: np.ndarray) -> DataFrame:
     )
 
     def _assign(batches):
+        skip_unchanged_zip_rereads()
         c2 = np.einsum("ij,ij->i", C, C)
         for pdf in batches:
             X = pdf[feat_cols].to_numpy(dtype=np.float64)

@@ -101,9 +101,15 @@ def descend(X: np.ndarray, tree: ArrayTree, a: np.ndarray, ctx: IterCtx, counter
 
 def ball_keep(tree: ArrayTree, nodes: np.ndarray, cand: np.ndarray, ctx: IterCtx,
               counters: Counters) -> np.ndarray:
-    """Moore's ball rule: a row keeps c_j unless ``d(p, c_j) > d(p, c_b) + 2r``."""
+    """Moore's ball rule: a row keeps c_j unless ``d(p, c_j) > d(p, c_b) + 2r``.
+
+    The right-hand side carries a relative margin of 1e-9: node distances
+    come from the expanded form, so a centroid tied exactly at the ball's
+    edge can round just above it, and pruning it would lose a tie that
+    Lloyd's argmin gives to the lower id.
+    """
     D = node_dists(tree, nodes, cand, ctx, counters)
-    return D <= (D.min(1) + 2.0 * tree.radius[nodes])[:, None]
+    return D <= ((D.min(1) + 2.0 * tree.radius[nodes]) * (1 + 1e-9))[:, None]
 
 
 def kanungo_keep(kt: KDTree, C: np.ndarray, nodes: np.ndarray, cand: np.ndarray,

@@ -161,7 +161,7 @@ class UniKKernel(Kernel):
             self._batch_assign(st, nodes[bat], b[bat])
             st["node_slack"][nodes[bat]] = slack[bat]
             st["node_ub"][nodes[bat]] = ub[bat]
-            keep = D <= (d1 + 2.0 * r)[:, None]
+            keep = D <= ((d1 + 2.0 * r) * (1 + 1e-9))[:, None]  # margin: see ball_keep
             excl = np.minimum(excl, np.where(keep, np.inf, D - r[:, None]).min(1))
             leaf = ~bat & is_leaf[nodes]
             if leaf.any():

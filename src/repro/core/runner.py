@@ -19,7 +19,10 @@ evaluation and return the partials through a partition-keyed accumulator.
 """
 from __future__ import annotations
 
+import os
+import sys
 import time
+import zipimport
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +48,39 @@ class RunResult:
     @property
     def total_time(self) -> float:
         return float(sum(self.iter_times))
+
+
+def skip_unchanged_zip_rereads() -> None:
+    """Make ``zipimporter.invalidate_caches`` skip archives that did not change.
+
+    A PySpark worker calls ``importlib.invalidate_caches()`` before every
+    task, and before Python 3.13 each ``zipimporter`` then re-reads its
+    archive's whole central directory (pyspark.zip, the py4j zip, the
+    spark-core jar): about 250 ms per task on a 4-core VM, more than most
+    iterations' kernels. The replacement re-reads only when the archive's
+    ``(st_mtime_ns, st_size)`` differs from the one at that importer's last
+    read, or cannot be read, so a changed archive is still re-read. An
+    importer's first call after the swap always reads. Idempotent; the
+    functions ``SparkRunner`` ships call it first thing.
+    """
+    if sys.version_info >= (3, 13):
+        return
+    stock = zipimport.zipimporter.invalidate_caches
+    if getattr(stock, "skips_unchanged", False):
+        return
+
+    def invalidate_caches(self):
+        try:
+            st = os.stat(self.archive)
+            stamp = (st.st_mtime_ns, st.st_size)
+        except OSError:
+            stamp = None
+        if stamp is None or stamp != getattr(self, "_read_stamp", None):
+            stock(self)
+            self._read_stamp = stamp
+
+    invalidate_caches.skips_unchanged = True
+    zipimport.zipimporter.invalidate_caches = invalidate_caches
 
 
 def _init_centers(X: np.ndarray, k: int, seed: int, init: str) -> np.ndarray:
@@ -225,8 +261,11 @@ class SparkRunner:
 
         def start(X, k):
             nonlocal blocks
-            blocks = sc.parallelize(np.array_split(X, p), p)
-            blocks = blocks.map(lambda b: _init_block(b, kernel, k)).cache()
+            def init(b):
+                skip_unchanged_zip_rereads()
+                return _init_block(b, kernel, k)
+
+            blocks = sc.parallelize(np.array_split(X, p), p).map(init).cache()
             blocks._jrdd.count()  # materialize the initial blocks; see step
             return step, final
 
@@ -235,6 +274,7 @@ class SparkRunner:
             ctx_bc = sc.broadcast(ctx)
             bcs.append(ctx_bc)
             def step_partition(i, it):
+                skip_unchanged_zip_rereads()
                 for b in it:
                     parts.add({i: _block_step(b, kernel_bc.value, ctx_bc.value)})
                     yield b
@@ -255,7 +295,11 @@ class SparkRunner:
             return [got[i] for i in range(p)]
 
         def final():
-            return np.concatenate(blocks.map(lambda b: b["st"]["a"]).collect())
+            def assignment(b):
+                skip_unchanged_zip_rereads()
+                return b["st"]["a"]
+
+            return np.concatenate(blocks.map(assignment).collect())
 
         try:
             return _drive(X, k, kernel, n_iters, seed, init, centers0, start)

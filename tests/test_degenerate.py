@@ -51,6 +51,23 @@ def test_exact_ties_match_lloyd(method, seed):
 
 
 @pytest.mark.parametrize("seed", range(16))
+@pytest.mark.parametrize("method", ["index", "unik"])
+def test_exact_ties_at_ball_edge_match_lloyd(method, seed):
+    """The exact-tie recipe with centroids drawn by ``permutation``: at seed
+    12 a lower-id centroid lies exactly on a ball's edge, where Moore's rule
+    compared expanded-form node distances with no rounding margin and
+    pruned it."""
+    rng = np.random.default_rng(seed)
+    d, k = [1, 2, 3][seed % 3], [3, 5, 8, 12][seed % 4]
+    X = rng.integers(0, 6, (400, d)).astype(float)
+    C0 = X[rng.permutation(len(X))[:k]] + rng.integers(0, 2, (k, d)) * 0.5
+    ref = LocalRunner().run(X, k, make_kernel("lloyd"), n_iters=20, centers0=C0)
+    got = LocalRunner().run(X, k, make_kernel(method), n_iters=20, centers0=C0)
+    assert (got.assign == ref.assign).all()
+    assert got.iters_run == ref.iters_run
+
+
+@pytest.mark.parametrize("seed", range(16))
 @pytest.mark.parametrize("method", ["yinyang", "regroup", "hame", "elka"])
 def test_exact_ties_match_lloyd_sequential(method, seed):
     """The same exact-tie recipe for the sequential bound kernels: each

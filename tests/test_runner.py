@@ -1,9 +1,15 @@
 """LocalRunner semantics: refinement, convergence, counters, timings."""
+import importlib
+import os
+import sys
+import zipfile
+import zipimport
+
 import numpy as np
 import pytest
 
 from repro.core.kernels import make_kernel
-from repro.core.runner import LocalRunner, _refine_increment
+from repro.core.runner import LocalRunner, _refine_increment, skip_unchanged_zip_rereads
 from repro.core.metrics import Counters
 from repro.synth_data import gaussian_mixture
 
@@ -124,3 +130,53 @@ def test_counters_add():
     c = a + b
     assert c.dist == 4 and c.bound_access == 6
     assert c.footprint_bytes == 10  # gauge: max, not sum
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="zipimport re-reads lazily from 3.13 on")
+def test_zip_rereads_only_changed_archives(tmp_path, monkeypatch):
+    """After the swap, ``importlib.invalidate_caches()`` re-reads a zip
+    archive's directory only when the archive changed; a deleted archive
+    is handled as before, and a second call of the helper wraps nothing."""
+    name, archive = "zip_reread_probe", tmp_path / "probe.zip"
+    path = str(archive)
+
+    def write(value):
+        with zipfile.ZipFile(archive, "w") as z:
+            z.writestr(f"{name}.py", f"VALUE = {value}\n")
+
+    reads = []
+    stock_read = zipimport._read_directory
+    monkeypatch.setattr(zipimport, "_read_directory", lambda p: reads.append(p) or stock_read(p))
+    monkeypatch.setattr(zipimport.zipimporter, "invalidate_caches",
+                        zipimport.zipimporter.invalidate_caches)
+    write(1)
+    monkeypatch.syspath_prepend(path)
+
+    def n_reads():
+        start = len(reads)
+        importlib.invalidate_caches()
+        return reads[start:].count(path)
+
+    skip_unchanged_zip_rereads()
+    patched = zipimport.zipimporter.invalidate_caches
+    skip_unchanged_zip_rereads()
+    assert zipimport.zipimporter.invalidate_caches is patched
+    try:
+        assert importlib.import_module(name).VALUE == 1
+        assert n_reads() == 1  # an importer's first call after the swap reads
+        assert [n_reads() for _ in range(3)] == [0, 0, 0]
+
+        st = os.stat(archive)
+        write(2)  # same size: only the mtime tells
+        os.utime(archive, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        assert n_reads() == 1
+        assert n_reads() == 0
+        del sys.modules[name]
+        assert importlib.import_module(name).VALUE == 2
+
+        archive.unlink()
+        assert [n_reads() for _ in range(2)] == [1, 1]  # read on every call, as before
+        assert sys.path_importer_cache[path]._files == {}
+    finally:
+        sys.modules.pop(name, None)
+        sys.path_importer_cache.pop(path, None)

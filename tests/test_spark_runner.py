@@ -1,11 +1,15 @@
 """SparkRunner ≡ LocalRunner: the distributed mapPartitions/reduceByKey
 pipeline must not change any result (exact k-means is partition-
 independent)."""
+import importlib
+import sys
+import zipimport
+
 import numpy as np
 import pytest
 
 from repro.core.kernels import make_kernel
-from repro.core.runner import LocalRunner, SparkRunner
+from repro.core.runner import LocalRunner, SparkRunner, skip_unchanged_zip_rereads
 from repro.synth_data import gaussian_mixture
 
 
@@ -53,3 +57,25 @@ def test_spark_timings_recorded(spark, X):
     )
     assert res.counters.assign_time > 0
     assert len(res.iter_times) == res.iters_run
+
+
+def test_tasks_skip_unchanged_zip_rereads(spark):
+    """PySpark calls ``importlib.invalidate_caches()`` before every task; once
+    a task has run the helper, that call re-reads none of the worker's
+    (unchanged) zip archives."""
+    def probe(_):
+        skip_unchanged_zip_rereads()
+        importlib.invalidate_caches()  # an importer's first call after the swap reads
+        reads = []
+        stock_read = zipimport._read_directory
+        zipimport._read_directory = lambda p: reads.append(p) or stock_read(p)
+        try:
+            importlib.invalidate_caches()
+        finally:
+            zipimport._read_directory = stock_read
+        zips = [f for f in sys.path_importer_cache.values() if isinstance(f, zipimport.zipimporter)]
+        yield len(zips), len(reads)
+
+    got = spark.sparkContext.parallelize(range(4), 4).mapPartitions(probe).collect()
+    assert all(n_zips > 0 for n_zips, _ in got)
+    assert [n_reads for _, n_reads in got] == [0, 0, 0, 0]
