@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ...index.base import slices
-from ..linalg import candidate_dists, full_dists, pair_dists
+from ..linalg import candidate_dists, full_dists
 from ..metrics import Counters
-from .base import full_assign, register, rowwise_top2_pairs
+from .base import register, segment_top2, top2
 from .hamerly import HamerlyKernel
 
 _SQRT_EPS = np.sqrt(np.finfo(np.float64).eps)
@@ -33,7 +33,7 @@ class AnnularKernel(HamerlyKernel):
 
     def assign(self, X, st, ctx, counters: Counters) -> None:
         if ctx.iter_idx == 0 or st["a"][0] < 0:
-            a, d1, d2, a2 = full_assign(X, ctx.centers, counters)
+            a, d1, d2, a2 = top2(full_dists(X, ctx.centers, counters))
             st["a"], st["ub"], st["lb"] = a, d1, d2
             st["sec"], st["sec_id"] = d2.copy(), a2
             counters.bound_update += 3 * len(a)
@@ -62,7 +62,7 @@ class AnnularKernel(HamerlyKernel):
         d = candidate_dists(X, ctx.centers, fail, rows, cols, counters, x2=st["x2"], c2=ctx.c2)
         # Per-row top-2 among candidates (assigned centroid is always a
         # candidate since |‖c_a‖ − ‖x‖| ≤ d(x, c_a) ≤ w).
-        best, arg, second, arg2 = rowwise_top2_pairs(len(fail), rows, cols, d)
+        best, arg, second, arg2 = segment_top2(d, cols, rows, len(fail))
         # Centroids outside the annulus have distance > w: they can be
         # neither 1st nor 2nd, so the candidate runner-up is exact when
         # it exists; otherwise w itself lower-bounds the 2nd distance.

@@ -18,9 +18,13 @@ Contract:
   assignment and bound setup.
 
 Every kernel is exact: after each call, ``st['a']`` must equal plain
-Lloyd's assignment for the same centroids (ties aside). The tree kernels
-(index, kdindex, search, unik), yinyang and regroup also break exact ties
-like Lloyd's ``argmin``, toward the lowest centroid id.
+Lloyd's assignment for the same centroids, ties included. Every kernel
+breaks an exact distance tie like Lloyd's ``argmin``, toward the lowest
+centroid id: it picks through ``top2``, ``segment_min`` or
+``segment_top2`` below (or ``argmin`` itself), and no bound test may
+skip a centroid that ties the assigned one and has a lower id, so a
+skip or prune needs a strict inequality wherever equality would leave
+such a tie unseen.
 """
 from __future__ import annotations
 
@@ -29,7 +33,6 @@ from typing import Callable
 import numpy as np
 
 from ..ctx import IterCtx
-from ..linalg import full_dists
 from ..metrics import Counters
 
 
@@ -72,76 +75,57 @@ def make_kernel(name: str, **kwargs) -> Kernel:
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers
+# Nearest-centroid picks: the lowest id wins among equal values.
 
 
-def top2_from_full(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(argmin, d1, d2, arg2) per row of a dense distance matrix."""
-    k = D.shape[1]
-    if k == 1:
-        a = np.zeros(D.shape[0], dtype=np.int64)
-        d1 = D[:, 0]
-        inf = np.full_like(d1, np.inf)
-        return a, d1, inf, a.copy()
-    part = np.argpartition(D, 1, axis=1)[:, :2]
-    vals = np.take_along_axis(D, part, axis=1)
-    swap = vals[:, 0] > vals[:, 1]
-    part[swap] = part[swap][:, ::-1]
-    vals[swap] = vals[swap][:, ::-1]
-    return part[:, 0].astype(np.int64), vals[:, 0], vals[:, 1], part[:, 1].astype(np.int64)
+def top2(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a, d1, d2, arg2) per row of a dense distance matrix: the nearest
+    column and the runner-up, each the lowest id among equal values.
 
-
-def rowwise_min_pairs(
-    n_rows: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (min value, argmin col) over sparse (row, col, val) triples.
-
-    Rows with no triples get (+inf, −1).
+    With one column the runner-up is (+inf, 0). ``D`` is left as passed.
     """
-    best = np.full(n_rows, np.inf)
-    arg = np.full(n_rows, -1, dtype=np.int64)
-    if len(rows):
-        order = np.lexsort((vals, rows))
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = rows[order][1:] != rows[order][:-1]
-        sel = order[first]
-        best[rows[sel]] = vals[sel]
-        arg[rows[sel]] = cols[sel]
+    rows = np.arange(D.shape[0])
+    a = D.argmin(1)
+    d1 = D[rows, a]
+    D[rows, a] = np.inf
+    arg2 = D.argmin(1)
+    d2 = D[rows, arg2]
+    D[rows, a] = d1
+    return a, d1, d2, arg2
+
+
+def segment_min(
+    vals: np.ndarray, cols: np.ndarray, seg: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (min value, its col) over ragged (row, col) pairs.
+
+    Pair i is ``(seg[i], cols[i])`` with value ``vals[i]``, for rows
+    0..n−1; ``seg`` is non-decreasing, and each row's cols may come in any
+    order. Among equal values the lowest col wins; a row with no pairs
+    gets (+inf, −1).
+    """
+    best = np.full(n, np.inf)
+    arg = np.full(n, -1, dtype=np.int64)
+    if len(vals) == 0:
+        return best, arg
+    starts = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
+    best[seg[starts]] = np.minimum.reduceat(vals, starts)
+    # Each row's minimum: its first hit, then any tied hit with a lower col.
+    hit = np.flatnonzero(vals == best[seg])
+    row = seg[hit]
+    tie = np.concatenate(([False], row[1:] == row[:-1]))
+    arg[row[~tie]] = cols[hit[~tie]]
+    np.minimum.at(arg, row[tie], cols[hit[tie]])
     return best, arg
 
 
-def rowwise_top2_pairs(
-    n_rows: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+def segment_top2(
+    vals: np.ndarray, cols: np.ndarray, seg: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row two smallest values over sparse (row, col, val) triples.
-
-    Returns (d1, c1, d2, c2); rows with < 2 triples get +inf / −1 in the
-    missing slots.
-    """
-    d1 = np.full(n_rows, np.inf)
-    c1 = np.full(n_rows, -1, dtype=np.int64)
-    d2 = np.full(n_rows, np.inf)
-    c2 = np.full(n_rows, -1, dtype=np.int64)
-    if len(rows) == 0:
-        return d1, c1, d2, c2
-    order = np.lexsort((vals, rows))
-    r = rows[order]
-    first = np.ones(len(r), dtype=bool)
-    first[1:] = r[1:] != r[:-1]
-    second = np.zeros(len(r), dtype=bool)
-    second[1:] = first[:-1] & (r[1:] == r[:-1])
-    s1 = order[first]
-    s2 = order[second]
-    d1[rows[s1]] = vals[s1]
-    c1[rows[s1]] = cols[s1]
-    d2[rows[s2]] = vals[s2]
-    c2[rows[s2]] = cols[s2]
+    """(d1, c1, d2, c2) per row over ragged pairs, as :func:`segment_min`
+    twice: the runner-up is the minimum once the winning pair is left out.
+    A row with fewer than two pairs gets +inf / −1 in the missing slots."""
+    d1, c1 = segment_min(vals, cols, seg, n)
+    rest = cols != c1[seg]
+    d2, c2 = segment_min(vals[rest], cols[rest], seg[rest], n)
     return d1, c1, d2, c2
-
-
-def full_assign(
-    X: np.ndarray, C: np.ndarray, counters: Counters
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Plain Lloyd assignment grid; returns (a, d1, d2, arg2)."""
-    D = full_dists(X, C, counters)
-    return top2_from_full(D)

@@ -45,7 +45,7 @@ class BlockVectorKernel(ElkanKernel):
         bv = np.sqrt(np.maximum(bv2, 0.0))
         counters.bound_access += len(rr)
         thr = d_a[rr]  # tightened ub per row
-        pruned = bv >= thr
+        pruned = bv > thr
         if pruned.any():
             # The block bound is itself a valid lb — keep the tighter one.
             lb = st["lb"]

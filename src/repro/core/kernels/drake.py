@@ -40,7 +40,8 @@ class DrakeKernel(Kernel):
     def _store_from_full(self, D, st, rows, counters):
         """(Re)build the sorted stored-bound lists from full distance rows."""
         b = self._b(D.shape[1])
-        order = np.argsort(D, axis=1)
+        # Stable, so equal distances keep ascending id (Lloyd's argmin).
+        order = np.argsort(D, axis=1, kind="stable")
         ds = np.take_along_axis(D, order, axis=1)
         st["a"][rows] = order[:, 0]
         st["ub"][rows] = ds[:, 0]
@@ -93,7 +94,8 @@ class DrakeKernel(Kernel):
         d = np.sqrt(d2)
         counters.dist += m * (b + 1)
         counters.data_access += m * (b + 1)
-        order = np.argsort(d, axis=1)
+        # By distance, then by centroid id: the stored ids are not sorted.
+        order = np.lexsort((all_ids, d), axis=-1)
         ds = np.take_along_axis(d, order, axis=1)
         cs = np.take_along_axis(all_ids, order, axis=1)
         ok = ds[:, 0] <= lb_rest[fail]
@@ -109,7 +111,7 @@ class DrakeKernel(Kernel):
         # Rest: full scan rebuilds the list and lb_rest.
         rows_bad = fail[~ok]
         if len(rows_bad):
-            D = full_dists(X[rows_bad], ctx.centers, counters)
+            D = full_dists(X[rows_bad], ctx.centers, counters, st["x2"][rows_bad], ctx.c2)
             self._store_from_full(D, st, rows_bad, counters)
 
     def footprint(self, st: dict) -> int:

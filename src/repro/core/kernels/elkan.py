@@ -4,7 +4,8 @@ Keeps a lower bound lb(i,j) for every (point, centroid) pair plus one
 upper bound ub(i). Per iteration lbs shrink by each centroid's drift and
 ub grows by the assigned centroid's drift; the inter-centroid half
 distances s(j) give the global skip, and the pairwise tests
-``lb(i,j) < ub(i)`` / ``cc(a,j)/2 < ub(i)`` gate every exact distance.
+``lb(i,j) ≤ ub(i)`` / ``cc(a,j)/2 ≤ ub(i)`` gate every exact distance
+(non-strict, so a centroid tied with the assigned one is still seen).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 from ..ctx import IterCtx
 from ..linalg import candidate_dists, full_dists, pair_dists
 from ..metrics import Counters
-from .base import Kernel, register, rowwise_min_pairs, top2_from_full
+from .base import Kernel, register, segment_min, top2
 
 
 @register("elka")
@@ -33,7 +34,7 @@ class ElkanKernel(Kernel):
 
     def _first(self, X, st, ctx, counters):
         D = full_dists(X, ctx.centers, counters)
-        a, d1, _, _ = top2_from_full(D)
+        a, d1, _, _ = top2(D)
         st["a"], st["ub"], st["lb"] = a, d1, D
         counters.bound_update += D.size + len(a)
 
@@ -61,18 +62,18 @@ class ElkanKernel(Kernel):
                     lbg[:, g] = lb_masked[:, cols_g].min(1)
             gmin = lbg.min(1)
             counters.bound_access += n * k + n * ctx.n_groups
-            skip = ub <= np.maximum(ctx.s[a], gmin)
+            skip = ub < np.maximum(ctx.s[a], gmin)
         else:
-            skip = ub <= ctx.s[a]
+            skip = ub < ctx.s[a]
         counters.bound_access += n
         act = np.where(~skip)[0]
         if len(act) == 0:
             return
         # Candidate mask with the (possibly stale) ub.
         ub_a = ub[act, None]
-        M = (lb[act] < ub_a) & (0.5 * ctx.cc[a[act]] < ub_a)
+        M = (lb[act] <= ub_a) & (0.5 * ctx.cc[a[act]] <= ub_a)
         if self.use_groups:
-            M &= lbg[act][:, ctx.groups] < ub_a  # group filter per centre
+            M &= lbg[act][:, ctx.groups] <= ub_a  # group filter per centre
         M[np.arange(len(act)), a[act]] = False
         counters.bound_access += len(act) * k
         rows_any = np.where(M.any(1))[0]
@@ -84,7 +85,7 @@ class ElkanKernel(Kernel):
         lb[r1, a[r1]] = d_a
         counters.bound_update += 2 * len(r1)
         ub_t = d_a[:, None]
-        M2 = (lb[r1] < ub_t) & (0.5 * ctx.cc[a[r1]] < ub_t)
+        M2 = (lb[r1] <= ub_t) & (0.5 * ctx.cc[a[r1]] <= ub_t)
         M2[np.arange(len(r1)), a[r1]] = False
         counters.bound_access += len(r1) * k
         rr, cols = np.nonzero(M2)
@@ -92,8 +93,8 @@ class ElkanKernel(Kernel):
         d = candidate_dists(X, ctx.centers, r1, rr, cols, counters, x2=st["x2"], c2=ctx.c2)
         lb[r1[rr], cols] = d
         counters.bound_update += len(rr)
-        best, arg = rowwise_min_pairs(len(r1), rr, cols, d)
-        upd = best < d_a
+        best, arg = segment_min(d, cols, rr, len(r1))
+        upd = (best < d_a) | ((best == d_a) & (arg < a[r1]))
         rows_u = r1[upd]
         a[rows_u] = arg[upd]
         ub[rows_u] = best[upd]

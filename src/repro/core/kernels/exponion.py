@@ -13,7 +13,7 @@ import numpy as np
 from ...index.base import slices
 from ..linalg import candidate_dists
 from ..metrics import Counters
-from .base import register, rowwise_top2_pairs
+from .base import register, segment_top2
 from .hamerly import HamerlyKernel
 
 
@@ -32,7 +32,7 @@ class ExponionKernel(HamerlyKernel):
         pos, rows = slices(np.zeros_like(cnt), cnt)
         cols = ctx.cc_order[aR[rows], pos]
         d = candidate_dists(X, ctx.centers, fail, rows, cols, counters, x2=st["x2"], c2=ctx.c2)
-        d1, c1, d2, _ = rowwise_top2_pairs(len(fail), rows, cols, d)
+        d1, c1, d2, _ = segment_top2(d, cols, rows, len(fail))
         # Outside the ball: d(x, c_j) ≥ cc(a, j) − d(x, a) > R − ub, so
         # the runner-up bound is min(candidate d2, R − ub).
         lb_out = R - d_a_fail

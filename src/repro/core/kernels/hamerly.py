@@ -11,10 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..ctx import IterCtx
-from ..linalg import pair_dists
+from ..linalg import full_dists, pair_dists
 from ..metrics import Counters
-from .base import Kernel, full_assign, register, top2_from_full
-from ..linalg import full_dists
+from .base import Kernel, register, top2
 
 
 @register("hame")
@@ -33,7 +32,7 @@ class HamerlyKernel(Kernel):
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         n = X.shape[0]
         if ctx.iter_idx == 0:
-            a, d1, d2, _ = full_assign(X, ctx.centers, counters)
+            a, d1, d2, _ = top2(full_dists(X, ctx.centers, counters))
             st["a"], st["ub"], st["lb"] = a, d1, d2
             counters.bound_update += 2 * n
             return
@@ -63,6 +62,6 @@ class HamerlyKernel(Kernel):
 
         Annular/Exponion override this with a restricted candidate scan.
         """
-        D = full_dists(X[fail], ctx.centers, counters)
-        na, d1, d2, _ = top2_from_full(D)
+        D = full_dists(X[fail], ctx.centers, counters, st["x2"][fail], ctx.c2)
+        na, d1, d2, _ = top2(D)
         st["a"][fail], st["ub"][fail], st["lb"][fail] = na, d1, d2

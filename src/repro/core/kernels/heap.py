@@ -20,7 +20,7 @@ import numpy as np
 from ..ctx import IterCtx
 from ..linalg import full_dists
 from ..metrics import Counters
-from .base import Kernel, full_assign, register, top2_from_full
+from .base import Kernel, register, top2
 
 
 @register("heap")
@@ -41,7 +41,7 @@ class HeapKernel(Kernel):
         n, k = X.shape[0], ctx.k
         if ctx.iter_idx == 0 or st["off"] is None:
             st["off"] = np.zeros(k)
-            a, d1, d2, _ = full_assign(X, ctx.centers, counters)
+            a, d1, d2, _ = top2(full_dists(X, ctx.centers, counters))
             st["a"] = a
             st["lu"] = d2 - d1
             st["off_ref"] = np.zeros(n)
@@ -58,8 +58,8 @@ class HeapKernel(Kernel):
         pops = np.where(adj < 0)[0]
         counters.bound_access += k + len(pops)
         if len(pops):
-            D = full_dists(X[pops], ctx.centers, counters)
-            na, d1, d2, _ = top2_from_full(D)
+            D = full_dists(X[pops], ctx.centers, counters, st["x2"][pops], ctx.c2)
+            na, d1, d2, _ = top2(D)
             a[pops] = na
             lu[pops] = d2 - d1
             off_ref[pops] = off[na]

@@ -10,8 +10,8 @@ The prune step is the only difference: Moore's ball rule
 INDE, Kanungo's corner rule on the bounding box for kdindex. Every
 decision depends only on the node's own root path, so this visits the
 same nodes and counts the same distances as a node-at-a-time DFS, in
-tree-depth Python steps. ``node_dists``, ``leaf_pairs`` and
-``segment_min`` are shared with UniK.
+tree-depth Python steps. ``node_dists`` and ``leaf_pairs`` are shared
+with UniK; leaf points pick their centroid through ``base.segment_min``.
 """
 from __future__ import annotations
 
@@ -22,9 +22,9 @@ import numpy as np
 from ...index import BALL_INDEXES, KDTree, build_kdtree
 from ...index.base import ArrayTree, blocks, children, covered, slices
 from ..ctx import IterCtx
-from ..linalg import candidate_dists
+from ..linalg import candidate_dists, sq_dists
 from ..metrics import Counters
-from .base import Kernel, register
+from .base import Kernel, register, segment_min
 
 
 def node_dists(tree: ArrayTree, nodes: np.ndarray, cand: np.ndarray,
@@ -33,9 +33,8 @@ def node_dists(tree: ArrayTree, nodes: np.ndarray, cand: np.ndarray,
 
     Charges one distance per candidate, the pairs the algorithm uses.
     """
-    P = tree.pivot[nodes]
-    d2 = (ctx.c2[None, :] + np.einsum("ij,ij->i", P, P)[:, None]) - 2.0 * (P @ ctx.centers.T)
-    D = np.sqrt(np.maximum(d2, 0.0))
+    D = sq_dists(tree.pivot[nodes], ctx.centers, c2=ctx.c2)
+    np.sqrt(D, out=D)
     D[~cand] = np.inf
     counters.dist += int(cand.sum())
     return D
@@ -44,32 +43,17 @@ def node_dists(tree: ArrayTree, nodes: np.ndarray, cand: np.ndarray,
 def leaf_pairs(tree: ArrayTree, leaves: np.ndarray, cand: np.ndarray):
     """Every leaf point against its leaf's candidates, as ragged pairs.
 
-    Returns ``(pts, rows, starts, pair_pt, cols)``: the points, each
-    point's row in ``leaves``, the offset of each point's first pair, and
-    per pair the index into ``pts`` and the centroid id. Pairs are grouped
-    by point with ascending centroid ids, ready for ``candidate_dists``
-    and ``segment_min``.
+    Returns ``(pts, rows, pair_pt, cols)``: the points, each point's row
+    in ``leaves``, and per pair the index into ``pts`` and the centroid
+    id. Pairs are grouped by point, ready for ``candidate_dists`` and
+    ``base.segment_min``.
     """
     pts, rows = covered(tree, leaves)
     _, leaf_cols = np.nonzero(cand)
     n_cand = cand.sum(1)
     first = np.cumsum(n_cand) - n_cand
     idx, pair_pt = slices(first[rows], (first + n_cand)[rows])
-    counts = n_cand[rows]
-    return pts, rows, np.cumsum(counts) - counts, pair_pt, leaf_cols[idx]
-
-
-def segment_min(vals: np.ndarray, seg: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position of the first minimum, and the minimum, of each segment.
-
-    ``seg`` numbers the segment of every value (non-decreasing, none
-    empty) and ``starts`` holds each segment's first position.
-    """
-    mins = np.minimum.reduceat(vals, starts)
-    hit = np.flatnonzero(vals == mins[seg])
-    first = np.ones(len(hit), dtype=bool)
-    first[1:] = seg[hit[1:]] != seg[hit[:-1]]
-    return hit[first], mins
+    return pts, rows, pair_pt, leaf_cols[idx]
 
 
 def descend(X: np.ndarray, tree: ArrayTree, a: np.ndarray, ctx: IterCtx, counters: Counters,
@@ -91,9 +75,9 @@ def descend(X: np.ndarray, tree: ArrayTree, a: np.ndarray, ctx: IterCtx, counter
         a[pts] = keep[one].argmax(1)[rows]
         leaf = ~one & is_leaf[nodes]
         if leaf.any():
-            pts, _, starts, pair_pt, cols = leaf_pairs(tree, nodes[leaf], keep[leaf])
+            pts, _, pair_pt, cols = leaf_pairs(tree, nodes[leaf], keep[leaf])
             vals = candidate_dists(X, ctx.centers, pts, pair_pt, cols, counters, x2=x2, c2=ctx.c2)
-            a[pts] = cols[segment_min(vals, pair_pt, starts)[0]]
+            a[pts] = segment_min(vals, cols, pair_pt, len(pts))[1]
         inner = ~(one | leaf)
         nodes, rows = children(tree, nodes[inner])
         cand = keep[inner][rows]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ctx import IterCtx
-from ..linalg import full_dists, pair_dists
+from ..linalg import full_dists, pair_dists, sq_dists
 from ..metrics import Counters
 from .base import Kernel, register
 
@@ -45,18 +45,14 @@ class Pami20Kernel(Kernel):
             cand = cand[cand != j]
             if len(cand) == 0:
                 continue
-            D = (
-                st["x2"][rows, None]
-                + ctx.c2[cand][None, :]
-                - 2.0 * X[rows] @ ctx.centers[cand].T
-            )
-            np.maximum(D, 0.0, out=D)
+            D = sq_dists(X[rows], ctx.centers[cand], st["x2"][rows], ctx.c2[cand])
             np.sqrt(D, out=D)
             counters.dist += len(rows) * len(cand)
             counters.data_access += len(rows) * len(cand)
-            dmin = D.min(1)
-            amin = cand[D.argmin(1)]
-            upd = dmin < best[rows]
+            jmin = D.argmin(1)
+            dmin = D[np.arange(len(rows)), jmin]
+            amin = cand[jmin]
+            upd = (dmin < best[rows]) | ((dmin == best[rows]) & (amin < j))
             best[rows[upd]] = dmin[upd]
             arg[rows[upd]] = amin[upd]
         st["a"] = arg

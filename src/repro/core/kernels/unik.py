@@ -33,8 +33,8 @@ from ...index.base import children, covered, slices
 from ..ctx import IterCtx
 from ..linalg import candidate_dists, full_dists, pair_dists
 from ..metrics import Counters
-from .base import Kernel, register, top2_from_full
-from .index_kernel import leaf_pairs, node_dists, segment_min
+from .base import Kernel, register, segment_min, segment_top2, top2
+from .index_kernel import leaf_pairs, node_dists
 
 
 def _hamerly_points(X, idx, a, ub, lb, st, ctx, counters: Counters) -> None:
@@ -55,8 +55,8 @@ def _hamerly_points(X, idx, a, ub, lb, st, ctx, counters: Counters) -> None:
     fail = cand[d_a > np.maximum(ctx.s[a[cand]], lb[cand])]
     counters.bound_access += 2 * len(cand)
     if len(fail):
-        D = full_dists(X[fail], ctx.centers, counters)
-        na, d1, d2, _ = top2_from_full(D)
+        D = full_dists(X[fail], ctx.centers, counters, st["x2"][fail], ctx.c2)
+        na, d1, d2, _ = top2(D)
         a[fail], ub[fail], lb[fail] = na, d1, d2
         counters.bound_update += 2 * len(fail)
 
@@ -140,7 +140,6 @@ class UniKKernel(Kernel):
         """
         tree = st["tree"]
         is_leaf = tree.leaf_mask()
-        k = ctx.k
         while len(nodes):
             counters.node_access += len(nodes)
             # Dissolved leaves' points are tracked individually; an active
@@ -150,9 +149,7 @@ class UniKKernel(Kernel):
             st["node_active"][nodes[act & live]] = False
             nodes, cand, excl = nodes[live], cand[live], excl[live]
             D = node_dists(tree, nodes, cand, ctx, counters)
-            b = D.argmin(1)
-            d1 = D[np.arange(len(nodes)), b]
-            d2 = np.partition(D, 1, axis=1)[:, 1] if k > 1 else np.full(len(nodes), np.inf)
+            b, d1, d2, _ = top2(D)
             r = tree.radius[nodes]
             ub = d1 + r
             # Runner-up lower bound over ALL centroids for any covered point.
@@ -179,10 +176,10 @@ class UniKKernel(Kernel):
         if len(stay):
             # Well-pruned leaf: stays in the tree as a frontier node,
             # re-evaluated each iteration from its pivot ball.
-            pts, _, starts, pair_pt, cols = leaf_pairs(tree, stay, cand[~dis])
+            pts, _, pair_pt, cols = leaf_pairs(tree, stay, cand[~dis])
             vals = candidate_dists(X, ctx.centers, pts, pair_pt, cols, counters,
                                    x2=st["x2"], c2=ctx.c2)
-            st["a"][pts] = cols[segment_min(vals, pair_pt, starts)[0]]
+            st["a"][pts] = segment_min(vals, cols, pair_pt, len(pts))[1]
             st["frontier"][stay] = True
             st["node_assigned"][stay] = b[~dis]
             st["node_ub"][stay] = ub[~dis]
@@ -194,14 +191,13 @@ class UniKKernel(Kernel):
             # differently, and where a centroid sits on a data point the
             # square root turns that into ~1e-7, enough for a seeded ub to
             # undercut the same distance evaluated by full_dists.
-            pts, rows, starts, pair_pt, cols = leaf_pairs(tree, gone, cand[dis])
+            pts, rows, pair_pt, cols = leaf_pairs(tree, gone, cand[dis])
             vals = candidate_dists(X, ctx.centers, pts, pair_pt, cols, counters,
                                    x2=st["x2"], c2=ctx.c2, dense_threshold=0.0)
-            first, d1 = segment_min(vals, pair_pt, starts)
-            st["a"][pts] = cols[first]
-            vals[first] = np.inf
+            d1, c1, d2, _ = segment_top2(vals, cols, pair_pt, len(pts))
+            st["a"][pts] = c1
             st["ub"][pts] = d1
-            st["lb"][pts] = np.minimum(np.minimum.reduceat(vals, starts), excl[dis][rows])
+            st["lb"][pts] = np.minimum(d2, excl[dis][rows])
             st["pt_mask"][pts] = True
             st["dissolved"][gone] = True
             st["frontier"][gone] = False

@@ -28,7 +28,7 @@ from ...index.base import slices
 from ..ctx import IterCtx
 from ..linalg import candidate_dists, full_dists, pair_dists
 from ..metrics import Counters
-from .base import Kernel, register
+from .base import Kernel, register, segment_min
 
 
 def _group_min(M: np.ndarray, order: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -153,15 +153,9 @@ class _YinyangBase(Kernel):
         ask = np.flatnonzero(keep)
         rows, ccols = sr[seg[ask]], cols[ask]
         d = candidate_dists(X, ctx.centers, R, rows, ccols, counters, x2=st["x2"], c2=ctx.c2)
-        # New centroid: the first minimum by centroid id (Lloyd's argmin)
-        # over the computed pairs, then against the own centroid at ub.
-        n_ask = np.bincount(rows, minlength=m)
-        has = np.flatnonzero(n_ask)
-        first = (np.cumsum(n_ask) - n_ask)[has]
-        dmin = np.full(m, np.inf)
-        jmin = np.full(m, k)
-        dmin[has] = np.minimum.reduceat(d, first)
-        jmin[has] = np.minimum.reduceat(np.where(d == dmin[rows], ccols, k), first)
+        # New centroid: the lowest-id minimum (Lloyd's argmin) over the
+        # computed pairs, then against the own centroid at ub.
+        dmin, jmin = segment_min(d, ccols, rows, m)
         stay = (ubR < dmin) | ((ubR == dmin) & (aR < jmin))
         jstar = np.where(stay, aR, jmin)
         # New group bounds: exact distances where computed, per-centre

@@ -18,16 +18,39 @@ from ..index.base import blocks
 from .metrics import Counters
 
 
-def full_dists(X: np.ndarray, C: np.ndarray, counters: Counters | None = None) -> np.ndarray:
-    """All n×k Euclidean distances (Lloyd's assignment grid)."""
-    x2 = np.einsum("ij,ij->i", X, X)
-    c2 = np.einsum("ij,ij->i", C, C)
+def sq_dists(
+    X: np.ndarray,
+    C: np.ndarray,
+    x2: np.ndarray | None = None,
+    c2: np.ndarray | None = None,
+) -> np.ndarray:
+    """All squared Euclidean distances between the rows of X and of C.
+
+    The one dense expanded-form formula ``‖x‖² + ‖c‖² − 2·x·c``, clamped
+    at 0 against rounding. ``x2``/``c2`` are optional precomputed squared
+    norms of the rows of X and C.
+    """
+    if x2 is None:
+        x2 = np.einsum("ij,ij->i", X, X)
+    if c2 is None:
+        c2 = np.einsum("ij,ij->i", C, C)
     d2 = x2[:, None] + c2[None, :] - 2.0 * (X @ C.T)
     np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def full_dists(
+    X: np.ndarray,
+    C: np.ndarray,
+    counters: Counters | None = None,
+    x2: np.ndarray | None = None,
+    c2: np.ndarray | None = None,
+) -> np.ndarray:
+    """All n×k Euclidean distances (Lloyd's assignment grid)."""
     if counters is not None:
         counters.dist += X.shape[0] * C.shape[0]
         counters.data_access += X.shape[0] * C.shape[0]
-    return np.sqrt(d2)
+    return np.sqrt(sq_dists(X, C, x2, c2))
 
 
 def pair_dists(
@@ -87,26 +110,14 @@ def candidate_dists(
         counters.dist += len(rr)
         counters.data_access += len(rr)
     if len(rr) > dense_threshold * len(r1) * k:
-        rows_x = X[r1]
-        x2r = (
-            np.einsum("ij,ij->i", rows_x, rows_x) if x2 is None else x2[r1]
-        )
-        c2r = np.einsum("ij,ij->i", C, C) if c2 is None else c2
-        d2 = x2r[:, None] + c2r[None, :] - 2.0 * rows_x @ C.T
-        np.maximum(d2, 0.0, out=d2)
+        d2 = sq_dists(X[r1], C, None if x2 is None else x2[r1], c2)
         return np.sqrt(d2[rr, cols])
     return pair_dists(X, C, r1[rr], cols, None, x2=x2, c2=c2)
 
 
 def cdist_cc(C1: np.ndarray, C2: np.ndarray) -> np.ndarray:
     """Small dense centroid↔centroid distance matrix (driver-side)."""
-    d2 = (
-        np.einsum("ij,ij->i", C1, C1)[:, None]
-        + np.einsum("ij,ij->i", C2, C2)[None, :]
-        - 2.0 * (C1 @ C2.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
+    return np.sqrt(sq_dists(C1, C2))
 
 
 def kmeans_pp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:

@@ -24,7 +24,7 @@ def build_balltree(X: np.ndarray, capacity: int = DEFAULT_CAPACITY, seed: int = 
         axis = p2 - p1
         if not np.any(axis):
             return None  # all points identical
-        proj = pts @ axis
+        proj = np.einsum("ij,j->i", pts, axis)
         order = np.argsort(proj, kind="stable")
         half = len(idx) // 2
         return [idx[order[:half]], idx[order[half:]]]

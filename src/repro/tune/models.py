@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.linalg import sq_dists
+
 
 class _Standardizer:
     def fit(self, X):
@@ -157,11 +159,7 @@ class KNN:
 
     def predict(self, X):
         Q = self.std.transform(np.asarray(X, dtype=np.float64))
-        d2 = (
-            np.einsum("ij,ij->i", Q, Q)[:, None]
-            + np.einsum("ij,ij->i", self.X, self.X)[None, :]
-            - 2.0 * Q @ self.X.T
-        )
+        d2 = sq_dists(Q, self.X)
         kk = min(self.k, len(self.y))
         nn = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
         out = np.empty(len(Q), dtype=np.int64)

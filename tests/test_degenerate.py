@@ -50,8 +50,8 @@ def test_exact_ties_match_lloyd(method, seed):
     assert got.iters_run == ref.iters_run
 
 
-@pytest.mark.parametrize("seed", range(16))
-@pytest.mark.parametrize("method", ["index", "unik"])
+@pytest.mark.parametrize("seed", range(24))
+@pytest.mark.parametrize("method", sorted(REGISTRY))
 def test_exact_ties_at_ball_edge_match_lloyd(method, seed):
     """The exact-tie recipe with centroids drawn by ``permutation``: at seed
     12 a lower-id centroid lies exactly on a ball's edge, where Moore's rule
@@ -67,8 +67,11 @@ def test_exact_ties_at_ball_edge_match_lloyd(method, seed):
     assert got.iters_run == ref.iters_run
 
 
-@pytest.mark.parametrize("seed", range(16))
-@pytest.mark.parametrize("method", ["yinyang", "regroup", "hame", "elka"])
+@pytest.mark.parametrize("seed", range(24))
+@pytest.mark.parametrize("method", [
+    "yinyang", "regroup", "hame", "elka", "drak", "heap", "annu", "expo",
+    "drift", "vector", "pami20", "full", "lloyd",
+])
 def test_exact_ties_match_lloyd_sequential(method, seed):
     """The same exact-tie recipe for the sequential bound kernels: each
     new assignment is the first minimum by centroid id, like Lloyd's

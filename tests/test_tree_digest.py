@@ -61,7 +61,7 @@ BUILDERS = {
 # index kernel result built on it may move with it.
 PINNED = {
     ("balltree", 2): "28af187bc9d07babd011128aa09ad5351b1670b74a2985dc40b44230172ecf57",
-    ("balltree", 57): "4f19cabace085b796da60ba9dd48e5a5e7df110dfc5c4f783c873e81c0abcdf5",
+    ("balltree", 57): "9b8411c8a259ba00f48b054a612e58cb5935e2a574cc31ea6a0af14615ac6842",
     ("covertree", 2): "a6a4514c6144c239b0a6b31a8dbba58d9cf263f1aace45ec72a3341673a0324b",
     ("covertree", 57): "021b0031364bfe34ffeb585922c4c2c1482e8cf981627828f1fccad408d6ffb3",
     ("hkt", 2): "84516b4cb590165e6daea3940076cea2a5ba344065812a951eea10b3292d3c29",
