@@ -1,17 +1,20 @@
 """Per-iteration driver-side precompute shared by all partitions.
 
 Each iteration the runner builds one ``IterCtx`` from the current and
-previous centroids and broadcasts it. Fields that only some kernels need
-(the k×k centroid distance matrix, Yinyang groups, sorted neighbour
-lists, centroid norms/blocks) are requested by the kernel via its
-``needs`` set so cheap kernels don't pay for them. Distance computations
-performed here (k(k−1)/2 for the cc-matrix, k·t for grouping) are
-charged to ``driver_dist`` and added to the run's counters, matching the
-paper's accounting of inter-centroid bound costs (§4.1).
+previous centroids and broadcasts it. Every ctx carries the centroids
+and their drifts; every other field (squared centroid norms, the k×k
+centroid distance matrix and s(j), sorted neighbour lists, norm order,
+Yinyang groups, block sums, previous-to-current distances) is computed
+only when a kernel's ``needs`` names it, and a kernel names only what it
+reads, so no kernel pays for another's bounds. Distance computations
+performed here (k(k−1)/2 for the cc-matrix, k·t for grouping, k² for
+``ccprev``) are charged to ``driver_dist`` and added to the run's
+counters, so only the methods whose bounds read the inter-centroid
+distances are charged for them, as in the paper's accounting (§4.1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +24,6 @@ from .linalg import cdist_cc
 @dataclass
 class IterCtx:
     centers: np.ndarray          # (k, d) current centroids
-    prev_centers: np.ndarray     # (k, d) previous centroids (== centers at t=0)
     iter_idx: int
     delta: np.ndarray            # (k,) centroid drifts ||c'_j − c_j||
     delta_max1: float = 0.0      # largest drift
@@ -29,7 +31,6 @@ class IterCtx:
     delta_max2: float = 0.0      # second-largest drift
     driver_dist: int = 0         # distance comps spent building this ctx
     c2: np.ndarray | None = None          # (k,) squared centroid norms
-    cnorm: np.ndarray | None = None       # (k,) centroid L2 norms
     cc: np.ndarray | None = None          # (k, k) centroid distances
     s: np.ndarray | None = None           # (k,) half distance to nearest other centroid
     cc_order: np.ndarray | None = None    # (k, k) argsort of each cc row
@@ -65,8 +66,8 @@ def _block_decompose(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def group_centers(C: np.ndarray, t: int, seed: int = 0, iters: int = 5) -> np.ndarray:
     """Group k centroids into t groups with a few small k-means passes.
 
-    Used by Yinyang (first iteration only) and Regroup (every iteration,
-    with ``iters=1`` — the paper's "more efficient" regrouping).
+    Used by Yinyang (first iteration only) and Regroup (every iteration);
+    ``make_ctx`` calls it with the default ``iters`` for both.
     """
     k = C.shape[0]
     t = max(1, min(t, k))
@@ -92,18 +93,15 @@ def make_ctx(
 ) -> IterCtx:
     """Build the iteration context, computing only what ``needs`` asks for."""
     delta = np.linalg.norm(centers - prev_centers, axis=1)
-    ctx = IterCtx(
-        centers=centers, prev_centers=prev_centers, iter_idx=iter_idx, delta=delta
-    )
+    ctx = IterCtx(centers=centers, iter_idx=iter_idx, delta=delta)
     if delta.size:
         order = np.argsort(delta)
         ctx.delta_arg1 = int(order[-1])
         ctx.delta_max1 = float(delta[order[-1]])
         ctx.delta_max2 = float(delta[order[-2]]) if delta.size > 1 else 0.0
     k = centers.shape[0]
-    if needs & {"c2", "norm", "blocks", "norm_order"}:
+    if needs & {"c2", "norm_order"}:
         ctx.c2 = np.einsum("ij,ij->i", centers, centers)
-        ctx.cnorm = np.sqrt(ctx.c2)
     if needs & {"cc", "s", "cc_order"}:
         ctx.cc = cdist_cc(centers, centers)
         ctx.driver_dist += k * (k - 1) // 2
@@ -113,8 +111,9 @@ def make_ctx(
         ctx.cc_order = np.argsort(ctx.cc, axis=1)
         ctx.cc_sorted = np.take_along_axis(ctx.cc, ctx.cc_order, axis=1)
     if "norm_order" in needs:
-        ctx.norm_order = np.argsort(ctx.cnorm)
-        ctx.norm_sorted = ctx.cnorm[ctx.norm_order]
+        norms = np.sqrt(ctx.c2)
+        ctx.norm_order = np.argsort(norms)
+        ctx.norm_sorted = norms[ctx.norm_order]
     if "groups" in needs:
         t = max(1, int(np.ceil(k / 10)))
         if groups is None:

@@ -22,7 +22,7 @@ _SQRT_EPS = np.sqrt(np.finfo(np.float64).eps)
 
 @register("annu")
 class AnnularKernel(HamerlyKernel):
-    needs = frozenset({"cc", "s", "c2", "norm_order"})
+    needs = frozenset({"s", "c2", "norm_order"})
 
     def init_state(self, X: np.ndarray) -> dict:
         st = super().init_state(X)
@@ -33,7 +33,7 @@ class AnnularKernel(HamerlyKernel):
 
     def assign(self, X, st, ctx, counters: Counters) -> None:
         if ctx.iter_idx == 0 or st["a"][0] < 0:
-            a, d1, d2, a2 = top2(full_dists(X, ctx.centers, counters))
+            a, d1, d2, a2 = top2(full_dists(X, ctx.centers, counters, st["x2"], ctx.c2))
             st["a"], st["ub"], st["lb"] = a, d1, d2
             st["sec"], st["sec_id"] = d2.copy(), a2
             counters.bound_update += 3 * len(a)

@@ -7,15 +7,21 @@ arrive in an :class:`~repro.core.ctx.IterCtx` built driver-side.
 
 Contract:
 
-* ``needs`` — which IterCtx fields to precompute (see ``ctx.make_ctx``).
+* ``needs`` — the IterCtx fields the kernel reads, and only those (see
+  ``ctx.make_ctx``): the driver builds, broadcasts and charges nothing
+  else.
 * ``fixed_groups`` — Yinyang-style kernels that freeze centroid groups
   after the first iteration set this; the runner then reuses iteration
   0's grouping for every subsequent ctx.
-* ``init_state(X)`` — allocate per-partition state. Must set ``a`` to an
-  int64 array of −1 (unassigned).
+* ``init_state(X)`` — allocate per-partition state. The base state is
+  ``a`` (int64, −1 = unassigned) and ``x2``, the points' squared norms,
+  which every full scan and pair distance reads; kernels extend it
+  through ``super().init_state(X)``.
 * ``assign(X, st, ctx, counters)`` — run one assignment step in place.
   When ``ctx.iter_idx == 0`` the kernel performs its initial full
   assignment and bound setup.
+* ``footprint(st)`` — the Figure-10 auxiliary space: every array and
+  tree in ``st`` except ``a``. Kernels do not override it.
 
 Every kernel is exact: after each call, ``st['a']`` must equal plain
 Lloyd's assignment for the same centroids, ties included. Every kernel
@@ -32,6 +38,8 @@ from typing import Callable
 
 import numpy as np
 
+from ...index import KDTree
+from ...index.base import ArrayTree
 from ..ctx import IterCtx
 from ..metrics import Counters
 
@@ -45,16 +53,25 @@ class Kernel:
     traditional_refine: bool = False
 
     def init_state(self, X: np.ndarray) -> dict:
-        return {"a": np.full(X.shape[0], -1, dtype=np.int64)}
+        return {
+            "a": np.full(X.shape[0], -1, dtype=np.int64),
+            "x2": np.einsum("ij,ij->i", X, X),
+        }
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         raise NotImplementedError
 
     def footprint(self, st: dict) -> int:
-        """Bytes of auxiliary state (bounds, indexes) — Figure-10 metric."""
-        return sum(
-            v.nbytes for k, v in st.items() if isinstance(v, np.ndarray) and k != "a"
-        )
+        """Bytes of auxiliary state (bounds, norms, indexes) — Figure-10 metric."""
+        tot = 0
+        for key, v in st.items():
+            if key == "a":
+                continue
+            if isinstance(v, np.ndarray):
+                tot += v.nbytes
+            elif isinstance(v, (ArrayTree, KDTree)):
+                tot += v.nbytes()
+        return tot
 
 
 REGISTRY: dict[str, Callable[..., Kernel]] = {}

@@ -20,18 +20,15 @@ from .base import Kernel, register
 
 @register("drak")
 class DrakeKernel(Kernel):
-    needs = frozenset({"cc", "s", "c2"})
+    needs = frozenset({"c2"})
 
     def init_state(self, X: np.ndarray) -> dict:
-        n = X.shape[0]
-        return {
-            "a": np.full(n, -1, dtype=np.int64),
-            "ub": np.zeros(n),
-            "bnd_ids": None,   # n×b stored centroid ids (ascending distance)
-            "bnd": None,       # n×b lower bounds for those centroids
-            "lb_rest": np.zeros(n),
-            "x2": np.einsum("ij,ij->i", X, X),
-        }
+        st = super().init_state(X)
+        st["ub"] = np.zeros(X.shape[0])
+        st["bnd_ids"] = None   # n×b stored centroid ids (ascending distance)
+        st["bnd"] = None       # n×b lower bounds for those centroids
+        st["lb_rest"] = np.zeros(X.shape[0])
+        return st
 
     @staticmethod
     def _b(k: int) -> int:
@@ -56,7 +53,7 @@ class DrakeKernel(Kernel):
         if ctx.iter_idx == 0 or st["bnd"] is None:
             st["bnd_ids"] = np.zeros((n, b), dtype=np.int64)
             st["bnd"] = np.zeros((n, b))
-            D = full_dists(X, ctx.centers, counters)
+            D = full_dists(X, ctx.centers, counters, st["x2"], ctx.c2)
             self._store_from_full(D, st, np.arange(n), counters)
             return
         a, ub, bnd, ids, lb_rest = st["a"], st["ub"], st["bnd"], st["bnd_ids"], st["lb_rest"]
@@ -113,9 +110,3 @@ class DrakeKernel(Kernel):
         if len(rows_bad):
             D = full_dists(X[rows_bad], ctx.centers, counters, st["x2"][rows_bad], ctx.c2)
             self._store_from_full(D, st, rows_bad, counters)
-
-    def footprint(self, st: dict) -> int:
-        tot = st["ub"].nbytes + st["lb_rest"].nbytes + st["x2"].nbytes
-        if st["bnd"] is not None:
-            tot += st["bnd"].nbytes + st["bnd_ids"].nbytes
-        return tot

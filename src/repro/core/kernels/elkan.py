@@ -24,16 +24,13 @@ class ElkanKernel(Kernel):
     use_groups = False
 
     def init_state(self, X: np.ndarray) -> dict:
-        n = X.shape[0]
-        return {
-            "a": np.full(n, -1, dtype=np.int64),
-            "ub": np.zeros(n),
-            "lb": None,  # n×k, allocated on first assign (k unknown here)
-            "x2": np.einsum("ij,ij->i", X, X),
-        }
+        st = super().init_state(X)
+        st["ub"] = np.zeros(X.shape[0])
+        st["lb"] = None  # n×k, allocated on first assign (k unknown here)
+        return st
 
     def _first(self, X, st, ctx, counters):
-        D = full_dists(X, ctx.centers, counters)
+        D = full_dists(X, ctx.centers, counters, st["x2"], ctx.c2)
         a, d1, _, _ = top2(D)
         st["a"], st["ub"], st["lb"] = a, d1, D
         counters.bound_update += D.size + len(a)
@@ -106,9 +103,3 @@ class ElkanKernel(Kernel):
     def _prefilter_pairs(self, X, st, ctx, counters, r1, d_a, rr, cols):
         """Hook for Vector's block-vector pre-check (no-op here)."""
         return rr, cols
-
-    def footprint(self, st: dict) -> int:
-        tot = st["ub"].nbytes + st["x2"].nbytes
-        if st["lb"] is not None:
-            tot += st["lb"].nbytes
-        return tot

@@ -19,7 +19,7 @@ from .hamerly import HamerlyKernel
 
 @register("expo")
 class ExponionKernel(HamerlyKernel):
-    needs = frozenset({"cc", "s", "c2", "cc_order"})
+    needs = frozenset({"s", "c2", "cc_order"})
 
     def _scan(self, X, st, ctx, counters, fail, d_a_fail) -> None:
         a, ub, lb = st["a"], st["ub"], st["lb"]

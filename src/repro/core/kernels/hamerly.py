@@ -18,24 +18,25 @@ from .base import Kernel, register, top2
 
 @register("hame")
 class HamerlyKernel(Kernel):
-    needs = frozenset({"cc", "s", "c2"})
+    needs = frozenset({"s", "c2"})
 
     def init_state(self, X: np.ndarray) -> dict:
-        n = X.shape[0]
-        return {
-            "a": np.full(n, -1, dtype=np.int64),
-            "ub": np.zeros(n),
-            "lb": np.zeros(n),
-            "x2": np.einsum("ij,ij->i", X, X),
-        }
+        st = super().init_state(X)
+        st["ub"] = np.zeros(X.shape[0])
+        st["lb"] = np.zeros(X.shape[0])
+        return st
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
-        n = X.shape[0]
         if ctx.iter_idx == 0:
-            a, d1, d2, _ = top2(full_dists(X, ctx.centers, counters))
+            a, d1, d2, _ = top2(full_dists(X, ctx.centers, counters, st["x2"], ctx.c2))
             st["a"], st["ub"], st["lb"] = a, d1, d2
-            counters.bound_update += 2 * n
+            counters.bound_update += 2 * len(a)
             return
+        self.step(X, st, ctx, counters)
+
+    def step(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
+        """One iteration>0 cascade over ``st``'s ``a``/``ub``/``lb``/``x2``, in place."""
+        n = X.shape[0]
         a, ub, lb = st["a"], st["ub"], st["lb"]
         # Drift-adjust bounds: ub grows by own drift, lb shrinks by the
         # largest drift among the *other* centroids.

@@ -25,23 +25,20 @@ from .base import Kernel, register, top2
 
 @register("heap")
 class HeapKernel(Kernel):
-    needs = frozenset({"cc", "s", "c2"})
+    needs = frozenset({"c2"})
 
     def init_state(self, X: np.ndarray) -> dict:
-        n = X.shape[0]
-        return {
-            "a": np.full(n, -1, dtype=np.int64),
-            "lu": np.zeros(n),        # gap lb − ub at last evaluation
-            "off_ref": np.zeros(n),   # cluster offset at last evaluation
-            "off": None,              # (k,) cumulative per-cluster decrement
-            "x2": np.einsum("ij,ij->i", X, X),
-        }
+        st = super().init_state(X)
+        st["lu"] = np.zeros(X.shape[0])        # gap lb − ub at last evaluation
+        st["off_ref"] = np.zeros(X.shape[0])   # cluster offset at last evaluation
+        st["off"] = None                       # (k,) cumulative per-cluster decrement
+        return st
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         n, k = X.shape[0], ctx.k
         if ctx.iter_idx == 0 or st["off"] is None:
             st["off"] = np.zeros(k)
-            a, d1, d2, _ = top2(full_dists(X, ctx.centers, counters))
+            a, d1, d2, _ = top2(full_dists(X, ctx.centers, counters, st["x2"], ctx.c2))
             st["a"] = a
             st["lu"] = d2 - d1
             st["off_ref"] = np.zeros(n)

@@ -56,15 +56,15 @@ def leaf_pairs(tree: ArrayTree, leaves: np.ndarray, cand: np.ndarray):
     return pts, rows, pair_pt, leaf_cols[idx]
 
 
-def descend(X: np.ndarray, tree: ArrayTree, a: np.ndarray, ctx: IterCtx, counters: Counters,
+def descend(X: np.ndarray, tree: ArrayTree, st: dict, ctx: IterCtx, counters: Counters,
             prune: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
-    """Assign every point of ``X`` into ``a`` by a frontier-at-once descent.
+    """Assign every point of ``X`` into ``st["a"]`` by a frontier-at-once descent.
 
     ``prune(nodes, cand)`` maps each row's (node, candidate mask) to the
     mask of candidates that may still own one of the node's points.
     """
     is_leaf = tree.leaf_mask()
-    x2 = np.einsum("ij,ij->i", X, X)
+    a, x2 = st["a"], st["x2"]
     nodes = np.zeros(1, dtype=np.int64)
     cand = np.ones((1, ctx.k), dtype=bool)
     while len(nodes):
@@ -139,18 +139,14 @@ class IndexKernel(Kernel):
         self.seed = seed
 
     def init_state(self, X: np.ndarray) -> dict:
-        return {
-            "a": np.full(X.shape[0], -1, dtype=np.int64),
-            "tree": BALL_INDEXES[self.index](X, capacity=self.capacity, seed=self.seed),
-        }
+        st = super().init_state(X)
+        st["tree"] = BALL_INDEXES[self.index](X, capacity=self.capacity, seed=self.seed)
+        return st
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         tree = st["tree"]
-        descend(X, tree, st["a"], ctx, counters,
+        descend(X, tree, st, ctx, counters,
                 lambda nodes, cand: ball_keep(tree, nodes, cand, ctx, counters))
-
-    def footprint(self, st: dict) -> int:
-        return st["tree"].nbytes()
 
 
 @register("kdindex")
@@ -163,15 +159,11 @@ class KDIndexKernel(Kernel):
         self.capacity = capacity
 
     def init_state(self, X: np.ndarray) -> dict:
-        return {
-            "a": np.full(X.shape[0], -1, dtype=np.int64),
-            "kt": build_kdtree(X, capacity=self.capacity),
-        }
+        st = super().init_state(X)
+        st["kt"] = build_kdtree(X, capacity=self.capacity)
+        return st
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         kt = st["kt"]
-        descend(X, kt.tree, st["a"], ctx, counters,
+        descend(X, kt.tree, st, ctx, counters,
                 lambda nodes, cand: kanungo_keep(kt, ctx.centers, nodes, cand, counters))
-
-    def footprint(self, st: dict) -> int:
-        return st["kt"].nbytes()

@@ -23,5 +23,5 @@ class LloydKernel(Kernel):
     traditional_refine = True
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
-        D = full_dists(X, ctx.centers, counters)
+        D = full_dists(X, ctx.centers, counters, st["x2"])
         st["a"] = D.argmin(1).astype(np.int64)

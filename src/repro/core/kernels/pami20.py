@@ -19,19 +19,13 @@ from .base import Kernel, register
 
 @register("pami20")
 class Pami20Kernel(Kernel):
-    needs = frozenset({"cc", "s", "c2"})
-
-    def init_state(self, X: np.ndarray) -> dict:
-        return {
-            "a": np.full(X.shape[0], -1, dtype=np.int64),
-            "x2": np.einsum("ij,ij->i", X, X),
-        }
+    needs = frozenset({"cc", "c2"})
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         n, k = X.shape[0], ctx.k
         a = st["a"]
         if ctx.iter_idx == 0 or a[0] < 0:
-            D = full_dists(X, ctx.centers, counters)
+            D = full_dists(X, ctx.centers, counters, st["x2"], ctx.c2)
             st["a"] = D.argmin(1).astype(np.int64)
             return
         d_a = pair_dists(X, ctx.centers, np.arange(n), a, counters, x2=st["x2"], c2=ctx.c2)

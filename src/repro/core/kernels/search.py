@@ -20,16 +20,15 @@ from .base import Kernel, register
 
 @register("search")
 class SearchKernel(Kernel):
-    needs = frozenset({"cc", "s", "c2"})
+    needs = frozenset({"s", "c2"})
 
     def __init__(self, capacity: int = 30):
         self.capacity = capacity
 
     def init_state(self, X: np.ndarray) -> dict:
-        return {
-            "a": np.full(X.shape[0], -1, dtype=np.int64),
-            "tree": build_balltree(X, capacity=self.capacity),
-        }
+        st = super().init_state(X)
+        st["tree"] = build_balltree(X, capacity=self.capacity)
+        return st
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         n, k = X.shape[0], ctx.k
@@ -46,9 +45,6 @@ class SearchKernel(Kernel):
         np.minimum.at(a, pts, js)
         rest = np.flatnonzero(a == k)
         if len(rest):
-            D = full_dists(X[rest], ctx.centers, counters)
+            D = full_dists(X[rest], ctx.centers, counters, st["x2"][rest], ctx.c2)
             a[rest] = D.argmin(1)
         st["a"] = a
-
-    def footprint(self, st: dict) -> int:
-        return st["tree"].nbytes()

@@ -31,34 +31,21 @@ import numpy as np
 from ...index import BALL_INDEXES
 from ...index.base import children, covered, slices
 from ..ctx import IterCtx
-from ..linalg import candidate_dists, full_dists, pair_dists
+from ..linalg import candidate_dists
 from ..metrics import Counters
 from .base import Kernel, register, segment_min, segment_top2, top2
+from .hamerly import HamerlyKernel
 from .index_kernel import leaf_pairs, node_dists
 
 
-def _hamerly_points(X, idx, a, ub, lb, st, ctx, counters: Counters) -> None:
-    """Hamerly cascade over the individually-tracked points."""
+def _hamerly_points(X, idx, st, ctx, counters: Counters) -> None:
+    """Hamerly's cascade over the individually-tracked points ``idx``."""
     if len(idx) == 0:
         return
-    ub[idx] += ctx.delta[a[idx]]
-    other_max = np.where(a[idx] == ctx.delta_arg1, ctx.delta_max2, ctx.delta_max1)
-    lb[idx] -= other_max
-    counters.bound_update += 2 * len(idx)
-    thr = np.maximum(ctx.s[a[idx]], lb[idx])
-    counters.bound_access += 2 * len(idx)
-    cand = idx[ub[idx] > thr]
-    if len(cand) == 0:
-        return
-    d_a = pair_dists(X, ctx.centers, cand, a[cand], counters, x2=st["x2"], c2=ctx.c2)
-    ub[cand] = d_a
-    fail = cand[d_a > np.maximum(ctx.s[a[cand]], lb[cand])]
-    counters.bound_access += 2 * len(cand)
-    if len(fail):
-        D = full_dists(X[fail], ctx.centers, counters, st["x2"][fail], ctx.c2)
-        na, d1, d2, _ = top2(D)
-        a[fail], ub[fail], lb[fail] = na, d1, d2
-        counters.bound_update += 2 * len(fail)
+    sub = {key: st[key][idx] for key in ("a", "ub", "lb", "x2")}
+    HamerlyKernel().step(X[idx], sub, ctx, counters)
+    for key in ("a", "ub", "lb"):
+        st[key][idx] = sub[key]
 
 
 @register("unik")
@@ -81,9 +68,8 @@ class UniKKernel(Kernel):
         m = tree.n_nodes
         n = X.shape[0]
         return {
-            "a": np.full(n, -1, dtype=np.int64),
+            **super().init_state(X),
             "tree": tree,
-            "x2": np.einsum("ij,ij->i", X, X),
             "node_active": np.zeros(m, dtype=bool),    # batch-assigned subtree roots
             "node_assigned": np.full(m, -1, dtype=np.int64),
             "node_slack": np.zeros(m),                 # remaining Eq-10 slack
@@ -212,7 +198,7 @@ class UniKKernel(Kernel):
         self._decay_slacks(st, ctx, counters)
         self._descend(X, st, ctx, counters, np.zeros(1, dtype=np.int64),
                       np.ones((1, ctx.k), dtype=bool), np.full(1, np.inf))
-        _hamerly_points(X, pts_prev, st["a"], st["ub"], st["lb"], st, ctx, counters)
+        _hamerly_points(X, pts_prev, st, ctx, counters)
 
     def _flat_pass(self, X, st, ctx, counters: Counters) -> None:
         """Cluster-object scan: re-validate cached nodes without traversal."""
@@ -235,7 +221,7 @@ class UniKKernel(Kernel):
         excl = np.where(ball, np.inf, ctx.cc[b]).min(1) - ubn
         counters.bound_access += ctx.k * len(failed)
         self._descend(X, st, ctx, counters, failed, ball, excl)
-        _hamerly_points(X, pts_prev, st["a"], st["ub"], st["lb"], st, ctx, counters)
+        _hamerly_points(X, pts_prev, st, ctx, counters)
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         # The adaptive switch compares the *work* (cost-model units) of
@@ -263,10 +249,3 @@ class UniKKernel(Kernel):
             self._root_pass(X, st, ctx, counters)
         else:
             self._flat_pass(X, st, ctx, counters)
-
-    def footprint(self, st: dict) -> int:
-        tot = st["tree"].nbytes()
-        for key in ("ub", "lb", "node_slack", "node_assigned", "node_active",
-                    "dissolved", "pt_mask", "x2"):
-            tot += st[key].nbytes
-        return tot

@@ -54,20 +54,17 @@ def _layout(groups: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 class _YinyangBase(Kernel):
-    needs = frozenset({"cc", "s", "c2", "groups"})
+    needs = frozenset({"c2", "groups"})
 
     def init_state(self, X: np.ndarray) -> dict:
-        n = X.shape[0]
-        return {
-            "a": np.full(n, -1, dtype=np.int64),
-            "ub": np.zeros(n),
-            "lbg": None,
-            "groups": None,  # grouping the stored lbg refers to
-            "x2": np.einsum("ij,ij->i", X, X),
-        }
+        st = super().init_state(X)
+        st["ub"] = np.zeros(X.shape[0])
+        st["lbg"] = None
+        st["groups"] = None  # grouping the stored lbg refers to
+        return st
 
     def _first(self, X, st, ctx, counters):
-        D = full_dists(X, ctx.centers, counters)
+        D = full_dists(X, ctx.centers, counters, st["x2"], ctx.c2)
         rows = np.arange(len(X))
         a = D.argmin(1)
         d1 = D[rows, a]
@@ -171,12 +168,6 @@ class _YinyangBase(Kernel):
         a[R] = jstar
         ub[R] = np.where(stay, ubR, dmin)
         counters.bound_update += m * t + 2 * m
-
-    def footprint(self, st: dict) -> int:
-        tot = st["ub"].nbytes + st["x2"].nbytes
-        if st["lbg"] is not None:
-            tot += st["lbg"].nbytes + st["groups"].nbytes
-        return tot
 
 
 @register("yinyang")

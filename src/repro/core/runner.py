@@ -8,14 +8,17 @@ paper's refinement protocol (§5.1.2):
 2. Each block of points runs ``kernel.assign``, then updates its
    per-cluster sum vectors and counts with only the points that changed
    cluster (no second pass over the data), and returns a copy of its
-   dense ``(k, d+1)`` sum+count array with its counters.
+   dense ``(k, d+1)`` sum+count array with its counters and its points'
+   assignment.
 3. The driver sums the partials in block order and divides sum vectors
-   by counts to refine the centroids.
+   by counts to refine the centroids. The last iteration's assignments,
+   concatenated in block order, are the run's final assignment.
 
 ``LocalRunner`` runs one in-process block. ``SparkRunner`` keeps one
 block per partition in a cached RDD; each iteration is one job of one
 stage (no shuffle) whose tasks run the block step as their only Python
-evaluation and return the partials through a partition-keyed accumulator.
+evaluation and return its results through a partition-keyed accumulator,
+so a run makes one job to build the blocks plus one per iteration.
 """
 from __future__ import annotations
 
@@ -134,8 +137,11 @@ def _init_block(X: np.ndarray, kernel: Kernel, k: int) -> dict:
     return {"X": X, "st": kernel.init_state(X), "acc": np.zeros((k, X.shape[1] + 1))}
 
 
-def _block_step(block: dict, kernel: Kernel, ctx: IterCtx) -> tuple[np.ndarray, Counters]:
-    """One block's assignment + refinement: its (k, d+1) partial and counters."""
+def _block_step(
+    block: dict, kernel: Kernel, ctx: IterCtx
+) -> tuple[np.ndarray, Counters, np.ndarray]:
+    """One block's assignment + refinement: its (k, d+1) partial, counters
+    and assignment."""
     X, st, acc = block["X"], block["st"], block["acc"]
     c = Counters()
     a_prev = st["a"].copy()
@@ -149,17 +155,18 @@ def _block_step(block: dict, kernel: Kernel, ctx: IterCtx) -> tuple[np.ndarray, 
         _refine_increment(X, a_prev, st["a"], acc[:, :-1], acc[:, -1], c)
     c.refine_time = time.perf_counter() - t0
     c.footprint_bytes = kernel.footprint(st)
-    return acc.copy(), c
+    return acc.copy(), c, st["a"]
 
 
 def _drive(X, k, kernel, n_iters, seed, init, centers0, start) -> RunResult:
     """The iteration loop both runners share.
 
-    ``start(X, k)`` sets up the blocks and returns ``(step, final)``:
-    ``step(ctx)`` runs :func:`_block_step` on every block and returns the
-    ``(partial, Counters)`` pairs in block order; ``final()`` returns the
-    final assignment of all points.
+    ``start(X, k)`` sets up the blocks and returns ``step``: ``step(ctx)``
+    runs :func:`_block_step` on every block and returns its
+    ``(partial, Counters, assignment)`` triples in block order.
     """
+    if n_iters < 1:
+        raise ValueError(f"n_iters must be at least 1, got {n_iters}")
     X = np.ascontiguousarray(X, dtype=np.float64)
     seed_time = 0.0
     if centers0 is not None:
@@ -168,7 +175,7 @@ def _drive(X, k, kernel, n_iters, seed, init, centers0, start) -> RunResult:
         t0 = time.perf_counter()
         centers = _init_centers(X, k, seed, init)
         seed_time = time.perf_counter() - t0
-    step, final = start(X, centers.shape[0])
+    step = start(X, centers.shape[0])
     groups = None
     prev = centers.copy()
     res = RunResult(centers=centers, counters=Counters(), iters_run=0, seed_time=seed_time)
@@ -179,12 +186,12 @@ def _drive(X, k, kernel, n_iters, seed, init, centers0, start) -> RunResult:
             groups = ctx.groups
         outs = step(ctx)
         t0 = time.perf_counter()  # driver-side combine
-        acc = sum(partial for partial, _ in outs)
+        acc = sum(partial for partial, _, _ in outs)
         cnt = acc[:, -1]
         nonempty = cnt > 0
         new_centers = centers.copy()
         new_centers[nonempty] = acc[nonempty, :-1] / cnt[nonempty, None]
-        block_counters = [c for _, c in outs]
+        block_counters = [c for _, c, _ in outs]
         res.counters = sum(block_counters, res.counters + Counters(dist=ctx.driver_dist))
         # Blocks run in parallel: a phase takes as long as its slowest block.
         res.assign_times.append(max(c.assign_time for c in block_counters))
@@ -199,7 +206,7 @@ def _drive(X, k, kernel, n_iters, seed, init, centers0, start) -> RunResult:
     res.counters.assign_time = sum(res.assign_times)
     res.counters.refine_time = sum(res.refine_times)
     res.centers = centers
-    res.assign = final()
+    res.assign = np.concatenate([a for _, _, a in outs])
     res.sse = sse(X, centers, res.assign)
     return res
 
@@ -219,7 +226,7 @@ class LocalRunner:
     ) -> RunResult:
         def start(X, k):
             block = _init_block(X, kernel, k)
-            return (lambda ctx: [_block_step(block, kernel, ctx)]), (lambda: block["st"]["a"])
+            return lambda ctx: [_block_step(block, kernel, ctx)]
 
         return _drive(X, k, kernel, n_iters, seed, init, centers0, start)
 
@@ -267,7 +274,7 @@ class SparkRunner:
 
             blocks = sc.parallelize(np.array_split(X, p), p).map(init).cache()
             blocks._jrdd.count()  # materialize the initial blocks; see step
-            return step, final
+            return step
 
         def step(ctx):
             nonlocal blocks, out
@@ -293,13 +300,6 @@ class SparkRunner:
             if sorted(got) != list(range(p)):
                 raise RuntimeError(f"partials came from partitions {sorted(got)}, not 0..{p - 1}")
             return [got[i] for i in range(p)]
-
-        def final():
-            def assignment(b):
-                skip_unchanged_zip_rereads()
-                return b["st"]["a"]
-
-            return np.concatenate(blocks.map(assignment).collect())
 
         try:
             return _drive(X, k, kernel, n_iters, seed, init, centers0, start)

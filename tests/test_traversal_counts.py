@@ -33,9 +33,9 @@ GOLDEN = {
     ("unik", "index-multiple", "lowd", 8): (12498, 1000, 11755, 278, 719),
     ("index", "balltree", "lowd", 40): (88800, 2026, 71176, 0, 0),
     ("index", "covertree", "lowd", 40): (49136, 2560, 38795, 0, 0),
-    ("unik", "adaptive", "lowd", 40): (89447, 1906, 68344, 7330, 3251),
-    ("unik", "index-single", "lowd", 40): (77258, 1142, 68464, 35735, 3261),
-    ("unik", "index-multiple", "lowd", 40): (91413, 2026, 68344, 2449, 3249),
+    ("unik", "adaptive", "lowd", 40): (89447, 1906, 68344, 6928, 3653),
+    ("unik", "index-single", "lowd", 40): (77258, 1142, 68464, 35333, 3663),
+    ("unik", "index-multiple", "lowd", 40): (91413, 2026, 68344, 2047, 3651),
     ("index", "balltree", "highd", 8): (75892, 1000, 70005, 0, 0),
     ("index", "covertree", "highd", 8): (61843, 1752, 50356, 0, 0),
     ("unik", "adaptive", "highd", 8): (75588, 944, 70005, 529, 474),
@@ -43,9 +43,9 @@ GOLDEN = {
     ("unik", "index-multiple", "highd", 8): (76076, 1000, 70005, 33, 474),
     ("index", "balltree", "highd", 40): (327733, 984, 290468, 0, 0),
     ("index", "covertree", "highd", 40): (181522, 1552, 134833, 0, 0),
-    ("unik", "adaptive", "highd", 40): (189300, 264, 178693, 23761, 21251),
-    ("unik", "index-single", "highd", 40): (189300, 264, 178693, 23761, 21251),
-    ("unik", "index-multiple", "highd", 40): (208118, 984, 178693, 20001, 21251),
+    ("unik", "adaptive", "highd", 40): (189300, 264, 178693, 20056, 24956),
+    ("unik", "index-single", "highd", 40): (189300, 264, 178693, 20056, 24956),
+    ("unik", "index-multiple", "highd", 40): (208118, 984, 178693, 16296, 24956),
     ("kdindex", None, "lowd", 8): (18300, 2424, 2735, 0, 0),
     ("kdindex", None, "lowd", 40): (109224, 10580, 2954, 0, 0),
     ("kdindex", None, "highd", 8): (229398, 11420, 2097, 0, 0),
