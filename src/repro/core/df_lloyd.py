@@ -15,6 +15,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
+from .kernels.base import argmin
+from .linalg import scan_dists
 from .runner import skip_unchanged_zip_rereads
 
 
@@ -35,13 +37,9 @@ def assign_df(df: DataFrame, centers: np.ndarray) -> DataFrame:
         c2 = np.einsum("ij,ij->i", C, C)
         for pdf in batches:
             X = pdf[feat_cols].to_numpy(dtype=np.float64)
-            d2 = (
-                np.einsum("ij,ij->i", X, X)[:, None]
-                + c2[None, :]
-                - 2.0 * X @ C.T
-            )
             out = pdf.copy()
-            out["cluster"] = d2.argmin(1)
+            # Lloyd's own distances and pick, so ties go to the lowest id.
+            out["cluster"] = scan_dists(X, C, argmin, c2=c2)
             yield out
 
     return df.mapInPandas(_assign, schema=schema)

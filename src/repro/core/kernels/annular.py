@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...index.base import slices
-from ..linalg import candidate_dists, full_dists
+from ..linalg import candidate_dists, scan_dists
 from ..metrics import Counters
 from .base import register, segment_top2, top2
 from .hamerly import HamerlyKernel
@@ -33,7 +33,7 @@ class AnnularKernel(HamerlyKernel):
 
     def assign(self, X, st, ctx, counters: Counters) -> None:
         if ctx.iter_idx == 0 or st["a"][0] < 0:
-            a, d1, d2, a2 = top2(full_dists(X, ctx.centers, counters, st["x2"], ctx.c2))
+            a, d1, d2, a2 = scan_dists(X, ctx.centers, top2, counters, st["x2"], ctx.c2)
             st["a"], st["ub"], st["lb"] = a, d1, d2
             st["sec"], st["sec_id"] = d2.copy(), a2
             counters.bound_update += 3 * len(a)

@@ -26,8 +26,8 @@ Contract:
 Every kernel is exact: after each call, ``st['a']`` must equal plain
 Lloyd's assignment for the same centroids, ties included. Every kernel
 breaks an exact distance tie like Lloyd's ``argmin``, toward the lowest
-centroid id: it picks through ``top2``, ``segment_min`` or
-``segment_top2`` below (or ``argmin`` itself), and no bound test may
+centroid id: it picks through ``argmin``, ``top2``, ``segment_min`` or
+``segment_top2`` below, and no bound test may
 skip a centroid that ties the assigned one and has a lower id, so a
 skip or prune needs a strict inequality wherever equality would leave
 such a tie unseen.
@@ -93,6 +93,11 @@ def make_kernel(name: str, **kwargs) -> Kernel:
 
 # ---------------------------------------------------------------------------
 # Nearest-centroid picks: the lowest id wins among equal values.
+
+
+def argmin(D: np.ndarray) -> np.ndarray:
+    """The nearest column per row of a dense distance matrix, lowest id among equals."""
+    return D.argmin(1)
 
 
 def top2(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ctx import IterCtx
-from ..linalg import full_dists, pair_dists
+from ..linalg import pair_dists, scan_dists
 from ..metrics import Counters
 from .base import Kernel, register, top2
 
@@ -28,7 +28,7 @@ class HamerlyKernel(Kernel):
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         if ctx.iter_idx == 0:
-            a, d1, d2, _ = top2(full_dists(X, ctx.centers, counters, st["x2"], ctx.c2))
+            a, d1, d2, _ = scan_dists(X, ctx.centers, top2, counters, st["x2"], ctx.c2)
             st["a"], st["ub"], st["lb"] = a, d1, d2
             counters.bound_update += 2 * len(a)
             return
@@ -63,6 +63,5 @@ class HamerlyKernel(Kernel):
 
         Annular/Exponion override this with a restricted candidate scan.
         """
-        D = full_dists(X[fail], ctx.centers, counters, st["x2"][fail], ctx.c2)
-        na, d1, d2, _ = top2(D)
+        na, d1, d2, _ = scan_dists(X[fail], ctx.centers, top2, counters, st["x2"][fail], ctx.c2)
         st["a"][fail], st["ub"][fail], st["lb"][fail] = na, d1, d2

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ctx import IterCtx
-from ..linalg import full_dists
+from ..linalg import scan_dists
 from ..metrics import Counters
 from .base import Kernel, register, top2
 
@@ -38,7 +38,7 @@ class HeapKernel(Kernel):
         n, k = X.shape[0], ctx.k
         if ctx.iter_idx == 0 or st["off"] is None:
             st["off"] = np.zeros(k)
-            a, d1, d2, _ = top2(full_dists(X, ctx.centers, counters, st["x2"], ctx.c2))
+            a, d1, d2, _ = scan_dists(X, ctx.centers, top2, counters, st["x2"], ctx.c2)
             st["a"] = a
             st["lu"] = d2 - d1
             st["off_ref"] = np.zeros(n)
@@ -55,8 +55,8 @@ class HeapKernel(Kernel):
         pops = np.where(adj < 0)[0]
         counters.bound_access += k + len(pops)
         if len(pops):
-            D = full_dists(X[pops], ctx.centers, counters, st["x2"][pops], ctx.c2)
-            na, d1, d2, _ = top2(D)
+            na, d1, d2, _ = scan_dists(X[pops], ctx.centers, top2, counters,
+                                       st["x2"][pops], ctx.c2)
             a[pops] = na
             lu[pops] = d2 - d1
             off_ref[pops] = off[na]

@@ -4,9 +4,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..ctx import IterCtx
-from ..linalg import full_dists
+from ..linalg import scan_dists
 from ..metrics import Counters
-from .base import Kernel, register
+from .base import Kernel, argmin, register
 
 
 @register("lloyd")
@@ -23,5 +23,4 @@ class LloydKernel(Kernel):
     traditional_refine = True
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
-        D = full_dists(X, ctx.centers, counters, st["x2"])
-        st["a"] = D.argmin(1).astype(np.int64)
+        st["a"] = scan_dists(X, ctx.centers, argmin, counters, st["x2"])

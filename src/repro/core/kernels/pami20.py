@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..ctx import IterCtx
-from ..linalg import full_dists, pair_dists, sq_dists
+from ..linalg import pair_dists, scan_dists, sq_dists
 from ..metrics import Counters
-from .base import Kernel, register
+from .base import Kernel, argmin, register
 
 
 @register("pami20")
@@ -25,8 +25,7 @@ class Pami20Kernel(Kernel):
         n, k = X.shape[0], ctx.k
         a = st["a"]
         if ctx.iter_idx == 0 or a[0] < 0:
-            D = full_dists(X, ctx.centers, counters, st["x2"], ctx.c2)
-            st["a"] = D.argmin(1).astype(np.int64)
+            st["a"] = scan_dists(X, ctx.centers, argmin, counters, st["x2"], ctx.c2)
             return
         d_a = pair_dists(X, ctx.centers, np.arange(n), a, counters, x2=st["x2"], c2=ctx.c2)
         ra = np.zeros(k)

@@ -9,8 +9,22 @@ grain (Yinyang expands each surviving (point, group) segment), and
 ``pair_dists`` evaluates them in consecutive blocks of
 ``index.base.BLOCK // d`` pairs, so its (pairs, d) gathers stay near
 cache size however many pairs are asked.
+
+A dense scan over all k centroids walks X in row blocks of ``SCAN_ROWS``
+whose product and distances stay in cache. ``scan_dists`` hands each
+block to a per-row pick and never holds the n×k grid: Lloyd, the
+iteration-0 scans of Hamerly, Heap, Annular and Pami20, and the rescans
+of Hamerly and Heap use it. ``full_dists`` fills the n×k grid from the
+same blocks, for the callers that keep more than a pick per row:
+Elkan's lower-bound matrix, Drake's sorted rows and Yinyang/Regroup's
+per-group row minima. Search's rest scan also stays on it: with a
+blocked pick its iterations ran slower, because its range queries'
+large temporaries then start on fresh pages (no freed n×k grid raises
+glibc's dynamic mmap threshold).
 """
 from __future__ import annotations
+
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,6 +53,52 @@ def sq_dists(
     return d2
 
 
+#: Rows of X per block of a dense scan: a (SCAN_ROWS, k) block of
+#: distances and its product stay in cache, where an n×k grid would
+#: stream through memory once per temporary.
+SCAN_ROWS = 1024
+
+
+def _dist_blocks(X, C, x2, c2, out=None):
+    """X's distances to C, one row block at a time (Goto & van de Geijn's
+    rule: keep the product's output block in cache and reuse it).
+
+    Each block is computed in :func:`sq_dists`' per-element order —
+    ``(x2 + c2) − 2·(X·Cᵀ)``, the clamp at 0 — then square-rooted, into a
+    reused (SCAN_ROWS, k) buffer, or into its rows of ``out``. numpy
+    multiplies a one-row block by GEMV, which sums in another order than
+    a taller block's GEMM, so a one-row tail joins the block before it.
+    """
+    n, k = X.shape[0], C.shape[0]
+    if x2 is None:
+        x2 = np.einsum("ij,ij->i", X, X)
+    if c2 is None:
+        c2 = np.einsum("ij,ij->i", C, C)
+    starts = list(range(0, max(n, 1), SCAN_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    ends = starts[1:] + [n]
+    rows = max(e - s for s, e in zip(starts, ends))
+    G = np.empty((rows, k))
+    D = np.empty((rows, k)) if out is None else None
+    for s, e in zip(starts, ends):
+        g = G[: e - s]
+        d = D[: e - s] if out is None else out[s:e]
+        np.matmul(X[s:e], C.T, out=g)
+        np.add(x2[s:e, None], c2[None, :], out=d)
+        g *= 2.0
+        d -= g
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        yield d
+
+
+def _charge(counters: Counters | None, n: int, k: int) -> None:
+    if counters is not None:
+        counters.dist += n * k
+        counters.data_access += n * k
+
+
 def full_dists(
     X: np.ndarray,
     C: np.ndarray,
@@ -46,11 +106,39 @@ def full_dists(
     x2: np.ndarray | None = None,
     c2: np.ndarray | None = None,
 ) -> np.ndarray:
-    """All n×k Euclidean distances (Lloyd's assignment grid)."""
-    if counters is not None:
-        counters.dist += X.shape[0] * C.shape[0]
-        counters.data_access += X.shape[0] * C.shape[0]
-    return np.sqrt(sq_dists(X, C, x2, c2))
+    """All n×k Euclidean distances, for callers that keep whole rows.
+
+    Computed in the same row blocks as :func:`scan_dists`, so both give
+    the same bits at any BLAS thread count.
+    """
+    out = np.empty((X.shape[0], C.shape[0]))
+    for _ in _dist_blocks(X, C, x2, c2, out):
+        pass
+    _charge(counters, *out.shape)
+    return out
+
+
+def scan_dists(
+    X: np.ndarray,
+    C: np.ndarray,
+    pick: Callable[[np.ndarray], Any],
+    counters: Counters | None = None,
+    x2: np.ndarray | None = None,
+    c2: np.ndarray | None = None,
+):
+    """``pick`` over the rows of :func:`full_dists`, never holding the n×k grid.
+
+    ``pick`` maps a block of distance rows to per-row arrays, or a tuple
+    of them (``kernels.base.argmin``, ``kernels.base.top2``); the block is
+    overwritten by the next one, so ``pick`` must not keep it. The
+    per-block results are concatenated. Charges n·k distances as
+    ``full_dists`` does.
+    """
+    parts = [pick(d) for d in _dist_blocks(X, C, x2, c2)]
+    _charge(counters, X.shape[0], C.shape[0])
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
 
 
 def pair_dists(

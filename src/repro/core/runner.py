@@ -101,11 +101,15 @@ def _refine_traditional(
     cnt: np.ndarray,
     counters: Counters,
 ) -> None:
-    """Classic refinement: re-read every point and rebuild the sums."""
-    sv[:] = 0.0
-    cnt[:] = 0.0
-    np.add.at(sv, a_new, X)
-    np.add.at(cnt, a_new, 1)
+    """Classic refinement: re-read every point and rebuild the sums.
+
+    Each column is one ``bincount``, which adds the points in order into
+    bins that start at 0, as ``np.add.at`` does: the same bits.
+    """
+    k = len(cnt)
+    for j in range(X.shape[1]):
+        sv[:, j] = np.bincount(a_new, weights=X[:, j], minlength=k)
+    cnt[:] = np.bincount(a_new, minlength=k)
     counters.data_access += len(a_new)
 
 
@@ -149,7 +153,9 @@ def _block_step(
     kernel.assign(X, st, ctx, c)
     c.assign_time = time.perf_counter() - t0
     t0 = time.perf_counter()
-    if kernel.traditional_refine:
+    # Before the first assignment every point moves and the sums start at
+    # 0, so the incremental update is the traditional one, bit for bit.
+    if kernel.traditional_refine or (a_prev < 0).all():
         _refine_traditional(X, st["a"], acc[:, :-1], acc[:, -1], c)
     else:
         _refine_increment(X, a_prev, st["a"], acc[:, :-1], acc[:, -1], c)

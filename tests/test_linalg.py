@@ -1,15 +1,25 @@
 """Unit tests for distance primitives, seeding and SSE."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
+from repro.core.kernels.base import argmin, top2
 from repro.core.linalg import (
+    SCAN_ROWS,
     candidate_dists,
     cdist_cc,
     full_dists,
     kmeans_pp_init,
     pair_dists,
     random_init,
+    scan_dists,
     sse,
 )
 from repro.core.metrics import Counters
@@ -36,6 +46,66 @@ def test_full_dists_counts(xc):
     full_dists(X, C, c)
     assert c.dist == 50 * 9
     assert c.data_access == 50 * 9
+
+
+SCAN_NS = [1, SCAN_ROWS - 1, SCAN_ROWS, 2 * SCAN_ROWS + 1]
+
+
+def _scan_case(d, k, n):
+    rng = np.random.default_rng([d, k, n])
+    return rng.normal(size=(n, d)), rng.normal(size=(k, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 57, 784])
+@pytest.mark.parametrize("k", [1, 2, 100])
+@pytest.mark.parametrize("n", SCAN_NS)
+def test_scan_dists_identity_pick_is_full_dists(d, k, n):
+    """Both walk the same row blocks, so they agree bit for bit at any
+    BLAS thread count."""
+    X, C = _scan_case(d, k, n)
+    assert np.array_equal(scan_dists(X, C, np.copy), full_dists(X, C))
+
+
+_ONE_THREAD_CHECK = """
+import json, sys
+import numpy as np
+from repro.core.linalg import SCAN_ROWS, scan_dists, sq_dists
+bad = []
+for d in (1, 2, 57, 784):
+    for k in (1, 2, 100):
+        for n in (1, SCAN_ROWS - 1, SCAN_ROWS, 2 * SCAN_ROWS + 1):
+            rng = np.random.default_rng([d, k, n])
+            X, C = rng.normal(size=(n, d)), rng.normal(size=(k, d))
+            if not np.array_equal(scan_dists(X, C, np.copy), np.sqrt(sq_dists(X, C))):
+                bad.append([d, k, n])
+print(json.dumps(bad))
+"""
+
+
+def test_scan_dists_blocks_keep_one_shot_bits_at_one_thread():
+    """At one BLAS thread, blocking changes no bit of the one-shot grid
+    ``sqrt(sq_dists)`` (with more threads, the GEMM's split of the whole
+    grid can round a row's sums differently from a block's)."""
+    path = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", _ONE_THREAD_CHECK], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    assert json.loads(out.stdout) == []
+
+
+def test_scan_dists_tuple_pick_and_counts():
+    X, C = _scan_case(5, 7, 2 * SCAN_ROWS + 3)
+    c = Counters()
+    got = scan_dists(X, C, top2, c)
+    want = top2(full_dists(X, C))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert c.dist == c.data_access == len(X) * len(C)
+
+
+def test_scan_dists_empty_rows():
+    X, C = np.empty((0, 3)), np.ones((4, 3))
+    assert scan_dists(X, C, argmin).shape == (0,)
 
 
 def test_pair_dists_matches_brute(xc):

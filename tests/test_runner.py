@@ -2,6 +2,7 @@
 import importlib
 import os
 import sys
+import tracemalloc
 import zipfile
 import zipimport
 
@@ -9,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import make_kernel
-from repro.core.runner import LocalRunner, _refine_increment, skip_unchanged_zip_rereads
+from repro.core.runner import (
+    LocalRunner,
+    _refine_increment,
+    _refine_traditional,
+    skip_unchanged_zip_rereads,
+)
 from repro.core.metrics import Counters
 from repro.synth_data import gaussian_mixture
 
@@ -53,6 +59,50 @@ def test_incremental_refinement_matches_full(X):
     np.add.at(cnt_ref, a_new, 1)
     assert np.allclose(sv, sv_ref)
     assert np.allclose(cnt, cnt_ref)
+
+
+@pytest.mark.parametrize("n,d,k", [(1500, 5, 6), (400, 1, 3), (1, 1, 1), (50, 3, 200)])
+def test_traditional_refine_is_add_at_bit_for_bit(n, d, k):
+    """The per-column ``bincount`` sums equal ``np.add.at``'s bits, with
+    empty clusters and k above the largest label."""
+    rng = np.random.default_rng([n, d, k])
+    Xr = rng.normal(scale=10.0 ** rng.integers(-3, 4, (1, d)), size=(n, d))
+    a = rng.integers(0, max(1, k // 2), n)
+    sv, cnt = np.full((k, d), np.nan), np.full(k, np.nan)
+    c = Counters()
+    _refine_traditional(Xr, a, sv, cnt, c)
+    sv_ref, cnt_ref = np.zeros((k, d)), np.zeros(k)
+    np.add.at(sv_ref, a, Xr)
+    np.add.at(cnt_ref, a, 1)
+    assert np.array_equal(sv, sv_ref) and np.array_equal(cnt, cnt_ref)
+    assert c.data_access == n
+
+
+def test_first_refine_increment_is_traditional(X):
+    """From an all −1 previous assignment both refinements give the same
+    (k, d+1) array and the same data access."""
+    k = 9
+    a_new = np.random.default_rng(3).integers(0, k - 1, len(X))
+    a_prev = np.full(len(X), -1)
+    accs, cs = [np.zeros((k, X.shape[1] + 1)) for _ in range(2)], [Counters(), Counters()]
+    _refine_increment(X, a_prev, a_new, accs[0][:, :-1], accs[0][:, -1], cs[0])
+    _refine_traditional(X, a_new, accs[1][:, :-1], accs[1][:, -1], cs[1])
+    assert np.array_equal(accs[0], accs[1])
+    assert cs[0].data_access == cs[1].data_access == len(X)
+
+
+def test_lloyd_never_builds_an_n_by_k_grid():
+    """Lloyd's scan and refinement stay far below one n×k float64 grid."""
+    n, k = 20_000, 100
+    Xg = gaussian_mixture(n=n, d=2, n_centers=20, cluster_std=0.5, seed=2)
+    centers0 = Xg[:k].copy()
+    tracemalloc.start()
+    try:
+        LocalRunner().run(Xg, k, make_kernel("lloyd"), n_iters=3, centers0=centers0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * 8
 
 
 def test_refine_counts_only_moved(X):
