@@ -9,24 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ArrayTree, build_tree
+from .base import ArrayTree, build_tree, median_cut, sq_rows
 
 DEFAULT_CAPACITY = 30
 
 
 def build_balltree(X: np.ndarray, capacity: int = DEFAULT_CAPACITY, seed: int = 0) -> ArrayTree:
     X = np.ascontiguousarray(X, dtype=np.float64)
+    return build_tree(X, _split, capacity)
 
-    def split(idx: np.ndarray, pts: np.ndarray, d2: np.ndarray):
-        p1 = pts[int(d2.argmax())]
-        d1 = np.einsum("ij,ij->i", pts - p1, pts - p1)
-        p2 = pts[int(d1.argmax())]
-        axis = p2 - p1
-        if not np.any(axis):
-            return None  # all points identical
-        proj = np.einsum("ij,j->i", pts, axis)
-        order = np.argsort(proj, kind="stable")
-        half = len(idx) // 2
-        return [idx[order[:half]], idx[order[half:]]]
 
-    return build_tree(X, split, capacity)
+def _split(P: np.ndarray, n: np.ndarray, d2: np.ndarray):
+    cols = np.arange(len(n))
+    p1 = P[d2.argmax(0), cols]
+    d1 = sq_rows(P, p1)
+    d1[np.arange(len(P))[:, None] >= n] = -np.inf
+    p2 = P[d1.argmax(0), cols]
+    axis = p2 - p1
+    return median_cut(np.einsum("lsd,sd->ls", P, axis), n, axis.any(1))

@@ -16,11 +16,17 @@ Batch-assigning or resetting a whole subtree is therefore a slice write,
 never a search over the m nodes. The frontier helpers below work on many
 nodes at once over this layout; ``range_hits`` is the one range-query
 engine (Search and ``ArrayTree.range_search``).
+
+``build_tree`` makes every tree top-down, one level at a time: a level's
+nodes are slices of one working permutation, split together (the
+Ball-tree's and kd-tree's median cuts through ``median_cut``, the random
+per-node rules of HKT, M-tree and Cover-tree through ``per_node``), and
+numbered in pre-order once the last level is done.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -139,80 +145,196 @@ def range_hits(
     return np.concatenate(hit_pts), np.concatenate(hit_qs), visits, leaf_dists
 
 
-def build_tree(
-    X: np.ndarray,
-    split: Callable[[np.ndarray, np.ndarray, np.ndarray], Sequence[np.ndarray] | None],
-    capacity: int,
-) -> ArrayTree:
-    """Generic top-down builder.
+#: A level split: ``split(P, n, d2) -> (order, sizes)``; see :func:`build_tree`.
+Split = Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
-    ``split(idx, pts, d2)`` partitions a set of point indices into ≥2
-    groups, or returns ``None`` to force a leaf. It gets the node's
-    points ``pts = X[idx]`` and their squared distances ``d2`` to the
-    node's pivot, which the builder computes once for the node's own
-    statistics. Nodes with ≤ ``capacity`` points become leaves. A node
-    gets its id, and a leaf its points, when it is popped, so ids run in
-    DFS pre-order and every subtree covers one ``perm`` slice.
+
+def build_tree(X: np.ndarray, split: Split, capacity: int) -> ArrayTree:
+    """Top-down builder that splits a whole tree level per step.
+
+    Every node of a level is a contiguous slice of one working
+    permutation of the points. The level is cut into chunks of
+    consecutive nodes, each gathered as a padded ``(L, nodes, d)`` array
+    of at most ``BLOCK`` floats (a longer node is a chunk of its own), so
+    the chunk's temporaries stay near cache size. A fixed number of
+    numpy steps per chunk gives every node its sum (its points added in
+    their current order), pivot and radius, and the squared distances
+    ``d2`` of its points to its pivot. The nodes with more than
+    ``capacity`` points then go to ``split(P, n, d2)``: node i's ``n[i]``
+    points fill ``P[:n[i], i]``, and ``d2[:, i]`` is ``-inf`` past them.
+    It returns ``order``, whose column i lists node i's points child by
+    child (``order[:n[i], i]`` permutes ``range(n[i])``), and ``sizes``,
+    one row of child sizes per node, in the same order. Empty children
+    are dropped, and a node left with fewer than two is a leaf. The
+    children's slices tile their parent's; they make up the next level.
+
+    Once every level is split, the nodes are numbered in DFS pre-order,
+    by ``(pt_start, depth)``, so every subtree covers one ``perm`` slice.
+    A node's sum adds its points as ``X[idx].sum(0)`` does (one at a
+    time for d >= 2; pairwise at d = 1, where each chunk is one node), so
+    the tree is bit for bit the one a node-at-a-time builder makes
+    (``tests/test_tree_build.py``).
     """
     n, d = X.shape
-    pivot, radius, sv, num, psi, height, parent, pt_start = [], [], [], [], [], [], [], []
-    perm = np.empty(n, dtype=np.int64)
-    cursor = 0
+    # Padded rows per chunk. At d = 1 numpy sums a lone node's column
+    # pairwise but a chunk of several nodes row by row, so there every
+    # chunk holds one node.
+    budget = BLOCK // d if d > 1 else 1
+    perm = np.arange(n)
+    start, size, parent = np.zeros(1, np.int64), np.array([n]), np.array([-1])
+    levels = []
+    while len(start):
+        node_id = sum(len(lv[0]) for lv in levels) + np.arange(len(start))
+        stats, kids = [], []
+        c = 0
+        while c < len(start):
+            win = size[c : c + budget]
+            fit = np.maximum.accumulate(win) * np.arange(1, len(win) + 1) <= budget
+            j = c + max(1, int(np.count_nonzero(fit)))
+            node_stats, (cs, cn, cp) = _chunk(X, perm, start[c:j], size[c:j], split, capacity)
+            stats.append(node_stats)
+            kids.append((cs, cn, node_id[c + cp]))
+            c = j
+        levels.append((start, size, parent, *map(np.concatenate, zip(*stats))))
+        start, size, parent = map(np.concatenate, zip(*kids))
 
-    # Explicit stack to avoid Python recursion limits on skewed trees.
-    stack: list[tuple[np.ndarray, int]] = [(np.arange(n), -1)]
-    while stack:
-        idx, par = stack.pop()
-        i = len(pivot)
-        pts = X[idx]
-        s = pts.sum(0)
-        p = s / len(idx)
-        diff = pts - p
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        r = float(np.sqrt(d2.max())) if len(idx) else 0.0
-        pivot.append(p)
-        sv.append(s)
-        radius.append(r)
-        num.append(len(idx))
-        psi.append(0.0 if par < 0 else float(np.linalg.norm(p - pivot[par])))
-        height.append(0 if par < 0 else height[par] + 1)
-        parent.append(par)
-        pt_start.append(cursor)
-        groups = None
-        if len(idx) > capacity:
-            groups = split(idx, pts, d2)
-            if groups is not None:
-                groups = [g for g in groups if len(g) > 0]
-                if len(groups) < 2:
-                    groups = None
-        if groups is None:
-            perm[cursor : cursor + len(idx)] = idx
-            cursor += len(idx)
-        else:
-            stack.extend((g, i) for g in groups)
-
-    m = len(pivot)
-    parent_arr = np.asarray(parent[1:], dtype=np.int64)
+    start, size, parent, pivot, sv, radius = map(np.concatenate, zip(*levels))
+    depth = np.repeat(np.arange(len(levels)), [len(lv[0]) for lv in levels])
+    pre = np.lexsort((depth, start))  # pre-order position -> creation id
+    rank = np.empty_like(pre)
+    rank[pre] = np.arange(len(pre))
+    pivot, sv, radius, num, pt_start = pivot[pre], sv[pre], radius[pre], size[pre], start[pre]
+    parent_arr = rank[parent[pre[1:]]]
+    m = len(pre)
+    # psi is np.linalg.norm(child - parent), whose BLAS dot rounds by the
+    # vector's 16-byte alignment (a fresh vector is aligned). A (1, d) @
+    # (d, 1) matmul calls that dot per row, so every row starts aligned.
+    diff = np.empty((m - 1, d + d % 2))[:, :d]
+    np.subtract(pivot[1:], pivot[parent_arr], out=diff)
+    psi = np.zeros(m)
+    psi[1:] = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
     child_start = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(parent_arr, minlength=m), out=child_start[1:])
-    num_arr = np.asarray(num, dtype=np.int64)
-    pt_start_arr = np.asarray(pt_start, dtype=np.int64)
-    pt_end = pt_start_arr + num_arr
+    pt_end = pt_start + num
     # pt_start is non-decreasing in pre-order, and every node covers at
     # least one point, so the first id whose slice starts at or after
     # pt_end[i] is the first id outside i's subtree.
-    subtree_end = np.maximum(np.searchsorted(pt_start_arr, pt_end), np.arange(1, m + 1))
+    subtree_end = np.maximum(np.searchsorted(pt_start, pt_end), np.arange(1, m + 1))
     return ArrayTree(
-        pivot=np.asarray(pivot, dtype=np.float64),
-        radius=np.asarray(radius, dtype=np.float64),
-        sv=np.asarray(sv, dtype=np.float64),
-        num=num_arr,
-        psi=np.asarray(psi, dtype=np.float64),
-        height=np.asarray(height, dtype=np.int64),
+        pivot=pivot,
+        radius=radius,
+        sv=sv,
+        num=num,
+        psi=psi,
+        height=depth[pre],
         child_start=child_start,
         child_idx=np.argsort(parent_arr, kind="stable") + 1,
-        pt_start=pt_start_arr,
+        pt_start=pt_start,
         pt_end=pt_end,
         subtree_end=subtree_end,
         perm=perm,
     )
+
+
+def _chunk(X, perm, start, size, split, capacity):
+    """Statistics of consecutive nodes, and their children; reorders ``perm``.
+
+    Returns ``(pivot, sv, radius)`` and ``(start, size, parent)`` of the
+    children, ``parent`` as a column of this chunk.
+    """
+    m, L = len(size), int(size.max())
+    rank = np.arange(L)[:, None]
+    pad = rank >= size
+    pos = np.minimum(start + rank, len(perm) - 1)
+    P = X[perm[pos]]
+    P[pad] = -0.0  # adds nothing to a sum
+    sv = P.sum(0)
+    pivot = sv / size[:, None]
+    d2 = sq_rows(P, pivot)
+    d2[pad] = -np.inf
+    radius = np.sqrt(d2.max(0, initial=0.0))
+    stats = (pivot, sv, radius)
+
+    cols = np.flatnonzero(size > capacity)
+    if len(cols) < m:
+        P, d2, pad = P[:, cols], d2[:, cols], pad[:, cols]
+    order, sizes = split(P, size[cols], d2) if len(cols) else (None, np.zeros((0, 2), int))
+    keep = np.count_nonzero(sizes, axis=1) >= 2
+    cols, sizes = cols[keep], sizes[keep]
+    if len(cols):
+        src = pos[order[:, keep], cols][~pad[:, keep]]
+        dst = pos[:, cols][~pad[:, keep]]
+        perm[dst] = perm[src]
+    k = np.count_nonzero(sizes, axis=1)
+    child_size = sizes[sizes > 0]
+    offset = np.cumsum(child_size) - child_size
+    first = np.cumsum(k) - k
+    child_start = offset + np.repeat(start[cols] - offset[first], k)
+    return stats, (child_start, child_size, np.repeat(cols, k))
+
+
+def sq_rows(P: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distance of every point in ``P`` (L, m, d) to its node's ``c``.
+
+    Each distance is ``einsum`` of the difference, as a per-node builder
+    takes it; the differences go through one buffer of at most ``BLOCK``
+    floats, a node's rows at a time when it is longer than that.
+    """
+    L, m, d = P.shape
+    out = np.empty((L, m))
+    step = max(1, BLOCK // (m * d))
+    buf = np.empty((min(step, L), m, d))
+    for s in range(0, L, step):
+        diff = np.subtract(P[s : s + step], c, out=buf[: min(step, L - s)])
+        out[s : s + step] = np.einsum("lsd,lsd->ls", diff, diff)
+    return out
+
+
+def median_cut(key: np.ndarray, n: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split every node in ``ok`` at the median of its points' ``key`` (L, m).
+
+    The ``n // 2`` lowest keys form the second child and the rest the
+    first, each in stable key order, as a per-node stable ``argsort`` cut
+    at ``n // 2`` with the upper half explored first. Returns the
+    ``(order, sizes)`` of a level split.
+    """
+    t = np.arange(key.shape[0])
+    live = t < n[:, None]
+    key = np.where(live, key.T, np.inf)
+    ranked = np.argsort(key, axis=1)
+    # An unstable sort is faster where keys are distinct, as in the
+    # benchmark's data; only the nodes with tied keys are re-sorted stably.
+    ranked_key = np.take_along_axis(key, ranked, 1)
+    tied = ((ranked_key[:, 1:] == ranked_key[:, :-1]) & live[:, 1:]).any(1)
+    ranked[tied] = np.argsort(key[tied], axis=1, kind="stable")
+    half = n // 2
+    # Rotate each node's ranks by half: the upper half first. Padding
+    # ranks stay in range and are never read.
+    src = t + half[:, None]
+    src -= np.where(src >= n[:, None], n[:, None], 0)
+    sizes = np.where(ok[:, None], np.stack([n - half, half], axis=1), 0)
+    return np.take_along_axis(ranked, src, 1).T, sizes
+
+
+def per_node(rule: Callable[[np.ndarray, np.ndarray], np.ndarray | None]) -> Split:
+    """A level split that runs ``rule(pts, d2)`` on one node at a time.
+
+    ``rule`` gets a node's points and their squared distances to its
+    pivot, and returns every point's child number (children in tree
+    order), or ``None`` to make the node a leaf. Each child keeps its
+    points in their order within the node.
+    """
+    def split(P: np.ndarray, n: np.ndarray, d2: np.ndarray):
+        L, m = P.shape[:2]
+        label = np.full((m, L), L)  # padding sorts last
+        for i, k in enumerate(n):
+            got = rule(np.ascontiguousarray(P[:k, i]), d2[:k, i])
+            label[i, :k] = 0 if got is None else got
+        live = label < L
+        width = int(label[live].max()) + 1
+        sizes = np.bincount(
+            np.repeat(np.arange(m) * width, n) + label[live], minlength=m * width
+        ).reshape(m, width)
+        return np.argsort(label, axis=1, kind="stable").T, sizes
+
+    return split

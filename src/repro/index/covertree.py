@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ArrayTree, build_tree
+from .base import ArrayTree, build_tree, per_node
 from .balltree import DEFAULT_CAPACITY
 
 
@@ -21,13 +21,13 @@ def build_covertree(X: np.ndarray, capacity: int = DEFAULT_CAPACITY, seed: int =
     X = np.ascontiguousarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
 
-    def split(idx: np.ndarray, pts: np.ndarray, d2: np.ndarray):
+    def rule(pts: np.ndarray, d2: np.ndarray):
         r = float(np.sqrt(d2.max()))
         if r <= 0:
             return None
         target = r / 2.0
         # Greedy farthest-point cover at scale r/2.
-        centers = [int(rng.integers(len(idx)))]
+        centers = [int(rng.integers(len(pts)))]
         dmin = np.linalg.norm(pts - pts[centers[0]], axis=1)
         while dmin.max() > target and len(centers) < 8:
             c = int(dmin.argmax())
@@ -41,11 +41,6 @@ def build_covertree(X: np.ndarray, capacity: int = DEFAULT_CAPACITY, seed: int =
             + np.einsum("ij,ij->i", C, C)[None, :]
             - 2.0 * pts @ C.T
         )
-        assign = d2c.argmin(1)
-        groups = [idx[assign == g] for g in range(len(centers))]
-        groups = [g for g in groups if len(g)]
-        if len(groups) < 2:
-            return None
-        return groups
+        return len(centers) - 1 - d2c.argmin(1)  # the last cover point's child comes first
 
-    return build_tree(X, split, capacity)
+    return build_tree(X, per_node(rule), capacity)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ArrayTree, build_tree
+from .base import ArrayTree, build_tree, per_node
 from .balltree import DEFAULT_CAPACITY
 
 
@@ -22,10 +22,10 @@ def build_hkt(
     X = np.ascontiguousarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
 
-    def split(idx: np.ndarray, pts: np.ndarray, d2: np.ndarray):
-        b = min(branch, len(idx))
-        seeds = pts[rng.choice(len(idx), size=b, replace=False)]
-        assign = np.zeros(len(idx), dtype=np.int64)
+    def rule(pts: np.ndarray, d2: np.ndarray):
+        b = min(branch, len(pts))
+        seeds = pts[rng.choice(len(pts), size=b, replace=False)]
+        assign = np.zeros(len(pts), dtype=np.int64)
         for _ in range(iters):
             d2 = (
                 np.einsum("ij,ij->i", pts, pts)[:, None]
@@ -37,10 +37,6 @@ def build_hkt(
                 m = assign == g
                 if m.any():
                     seeds[g] = pts[m].mean(0)
-        groups = [idx[assign == g] for g in range(b)]
-        groups = [g for g in groups if len(g)]
-        if len(groups) < 2:
-            return None
-        return groups
+        return b - 1 - assign  # the last cluster's child comes first
 
-    return build_tree(X, split, capacity)
+    return build_tree(X, per_node(rule), capacity)

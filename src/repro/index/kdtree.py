@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ArrayTree, build_tree
+from .base import ArrayTree, build_tree, median_cut
 
 
 @dataclass
@@ -26,17 +26,7 @@ class KDTree:
 
 def build_kdtree(X: np.ndarray, capacity: int = 1) -> KDTree:
     X = np.ascontiguousarray(X, dtype=np.float64)
-
-    def split(idx: np.ndarray, pts: np.ndarray, d2: np.ndarray):
-        spread = pts.max(0) - pts.min(0)
-        dim = int(spread.argmax())
-        if spread[dim] <= 0:
-            return None
-        order = np.argsort(pts[:, dim], kind="stable")
-        half = len(idx) // 2
-        return [idx[order[:half]], idx[order[half:]]]
-
-    tree = build_tree(X, split, capacity)
+    tree = build_tree(X, _split, capacity)
     # Every node's covered set is one perm slice, so all boxes come from
     # one segmented min/max over the permuted points: reduceat over the
     # interleaved bounds [lo0, hi0, lo1, hi1, ...] reduces each [lo, hi)
@@ -46,3 +36,11 @@ def build_kdtree(X: np.ndarray, capacity: int = 1) -> KDTree:
     bb_min = np.minimum.reduceat(Xp, bounds)[::2]
     bb_max = np.maximum.reduceat(Xp, bounds)[::2]
     return KDTree(tree=tree, bb_min=bb_min, bb_max=bb_max)
+
+
+def _split(P: np.ndarray, n: np.ndarray, d2: np.ndarray):
+    live = (np.arange(len(P))[:, None] < n)[..., None]
+    spread = P.max(0, where=live, initial=-np.inf) - P.min(0, where=live, initial=np.inf)
+    dim = spread.argmax(1)
+    cols = np.arange(len(n))
+    return median_cut(P[:, cols, dim], n, spread[cols, dim] > 0)

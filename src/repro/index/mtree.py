@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ArrayTree, build_tree
+from .base import ArrayTree, build_tree, per_node
 from .balltree import DEFAULT_CAPACITY
 
 
@@ -20,17 +20,13 @@ def build_mtree(X: np.ndarray, capacity: int = DEFAULT_CAPACITY, seed: int = 0) 
     X = np.ascontiguousarray(X, dtype=np.float64)
     rng = np.random.default_rng(seed)
 
-    def split(idx: np.ndarray, pts: np.ndarray, d2: np.ndarray):
-        a, b = rng.choice(len(idx), size=2, replace=False)
+    def rule(pts: np.ndarray, d2: np.ndarray):
+        a, b = rng.choice(len(pts), size=2, replace=False)
         pa, pb = pts[a], pts[b]
         if np.array_equal(pa, pb):
             return None
         da = np.einsum("ij,ij->i", pts - pa, pts - pa)
         db = np.einsum("ij,ij->i", pts - pb, pts - pb)
-        m = da <= db
-        g1, g2 = idx[m], idx[~m]
-        if len(g1) == 0 or len(g2) == 0:
-            return None
-        return [g1, g2]
+        return (da <= db).astype(np.int64)  # pb's side comes first
 
-    return build_tree(X, split, capacity)
+    return build_tree(X, per_node(rule), capacity)

@@ -27,22 +27,22 @@ FIELDS = ("dist", "node_access", "data_access", "bound_access", "bound_update")
 # kdindex and search run with their defaults (no variant)
 GOLDEN = {
     ("index", "balltree", "lowd", 8): (12972, 1000, 11735, 0, 0),
-    ("index", "covertree", "lowd", 8): (5732, 822, 6241, 0, 0),
+    ("index", "covertree", "lowd", 8): (5579, 754, 6199, 0, 0),
     ("unik", "adaptive", "lowd", 8): (12409, 985, 11888, 749, 733),
     ("unik", "index-single", "lowd", 8): (11364, 756, 12497, 2541, 829),
     ("unik", "index-multiple", "lowd", 8): (12498, 1000, 11755, 278, 719),
     ("index", "balltree", "lowd", 40): (88800, 2026, 71176, 0, 0),
-    ("index", "covertree", "lowd", 40): (49136, 2560, 38795, 0, 0),
+    ("index", "covertree", "lowd", 40): (48814, 2557, 38740, 0, 0),
     ("unik", "adaptive", "lowd", 40): (89447, 1906, 68344, 6928, 3653),
     ("unik", "index-single", "lowd", 40): (77258, 1142, 68464, 35333, 3663),
     ("unik", "index-multiple", "lowd", 40): (91413, 2026, 68344, 2047, 3651),
     ("index", "balltree", "highd", 8): (75892, 1000, 70005, 0, 0),
-    ("index", "covertree", "highd", 8): (61843, 1752, 50356, 0, 0),
+    ("index", "covertree", "highd", 8): (63995, 1576, 53940, 0, 0),
     ("unik", "adaptive", "highd", 8): (75588, 944, 70005, 529, 474),
     ("unik", "index-single", "highd", 8): (72503, 608, 70005, 3582, 484),
     ("unik", "index-multiple", "highd", 8): (76076, 1000, 70005, 33, 474),
     ("index", "balltree", "highd", 40): (327733, 984, 290468, 0, 0),
-    ("index", "covertree", "highd", 40): (181522, 1552, 134833, 0, 0),
+    ("index", "covertree", "highd", 40): (196352, 1448, 150615, 0, 0),
     ("unik", "adaptive", "highd", 40): (189300, 264, 178693, 20056, 24956),
     ("unik", "index-single", "highd", 40): (189300, 264, 178693, 20056, 24956),
     ("unik", "index-multiple", "highd", 40): (208118, 984, 178693, 16296, 24956),

@@ -62,14 +62,14 @@ BUILDERS = {
 PINNED = {
     ("balltree", 2): "28af187bc9d07babd011128aa09ad5351b1670b74a2985dc40b44230172ecf57",
     ("balltree", 57): "9b8411c8a259ba00f48b054a612e58cb5935e2a574cc31ea6a0af14615ac6842",
-    ("covertree", 2): "a6a4514c6144c239b0a6b31a8dbba58d9cf263f1aace45ec72a3341673a0324b",
-    ("covertree", 57): "021b0031364bfe34ffeb585922c4c2c1482e8cf981627828f1fccad408d6ffb3",
-    ("hkt", 2): "84516b4cb590165e6daea3940076cea2a5ba344065812a951eea10b3292d3c29",
-    ("hkt", 57): "b23d2f4d86e33244beaf7e854fb0effd86e4548aa58a69132398f94c44823352",
+    ("covertree", 2): "4186d5319c00d91e870180b2e6c3dc3d50d6406e0cd28465100617f690491563",
+    ("covertree", 57): "6779c074b30c9e7677be8f316a8e5e77248808c54c628daccd02cf95c3ff7d16",
+    ("hkt", 2): "bfcd65817eaf9b2bee8afa4e96a23a23960b5d66339c2f700defc42b08977d28",
+    ("hkt", 57): "f5af06b44bd8bbb8ee19a5284b6c299a1d68f1951ceacecca8d7c1640ae58cfe",
     ("kdtree", 2): "777436b01188d7e44b75f79425f3b0a67d33260859b2d6d753e1584145b6456e",
     ("kdtree", 57): "8fc2748598dc5693c996252113ea3c3b75c6bf3d2d2c775d4aff47a11687109c",
-    ("mtree", 2): "c5c307efda51eb57c1d359833834c41ceedf27cd98d131e6618222f1b3508846",
-    ("mtree", 57): "6faeb8d3710447e22ed6a91180fb51ae4b464c16816f0ece4ce65be59add0cf9",
+    ("mtree", 2): "fb00834470a3ea902c72c8cc83509ae0b06e82913110a64f7c014586b6ca9839",
+    ("mtree", 57): "1c416d1efc472f90a427355ee41f5b351a13173e6dae109159fc3be68e5dacde",
 }
 
 
