@@ -38,8 +38,9 @@ class BlockVectorKernel(ElkanKernel):
             return rr, cols
         xi = r1[rr]
         upper = (
-            (st["xb"][xi] * ctx.c_blocks[cols] / st["blens"][None, :]).sum(1)
-            + (st["xr"][xi] * ctx.c_resid[cols]).sum(1)
+            (np.take(st["xb"], xi, axis=0) * np.take(ctx.c_blocks, cols, axis=0)
+             / st["blens"][None, :]).sum(1)
+            + (np.take(st["xr"], xi, axis=0) * np.take(ctx.c_resid, cols, axis=0)).sum(1)
         )
         bv2 = st["x2"][xi] + ctx.c2[cols] - 2.0 * upper
         bv = np.sqrt(np.maximum(bv2, 0.0))

@@ -80,12 +80,12 @@ class DrakeKernel(Kernel):
         m = len(fail)
         # Exact distances to assigned + stored centroids (b+1 per point),
         # via a row-block einsum so X rows are not replicated b+1 times.
-        all_ids = np.concatenate([a[fail, None], ids[fail]], axis=1)
-        Cg = ctx.centers[all_ids]                      # (m, b+1, d)
+        all_ids = np.concatenate([a[fail, None], np.take(ids, fail, axis=0)], axis=1)
+        Cg = np.take(ctx.centers, all_ids, axis=0)     # (m, b+1, d)
         d2 = (
             st["x2"][fail][:, None]
             + ctx.c2[all_ids]
-            - 2.0 * np.einsum("md,mbd->mb", X[fail], Cg)
+            - 2.0 * np.einsum("md,mbd->mb", np.take(X, fail, axis=0), Cg)
         )
         np.maximum(d2, 0.0, out=d2)
         d = np.sqrt(d2)
@@ -108,5 +108,6 @@ class DrakeKernel(Kernel):
         # Rest: full scan rebuilds the list and lb_rest.
         rows_bad = fail[~ok]
         if len(rows_bad):
-            D = full_dists(X[rows_bad], ctx.centers, counters, st["x2"][rows_bad], ctx.c2)
+            D = full_dists(np.take(X, rows_bad, axis=0), ctx.centers, counters,
+                           st["x2"][rows_bad], ctx.c2)
             self._store_from_full(D, st, rows_bad, counters)

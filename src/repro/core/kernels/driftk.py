@@ -30,7 +30,7 @@ class DriftKernel(ElkanKernel):
     def _extra_lb(self, X, st, ctx, counters) -> None:
         ub_prev = st.pop("_ub_prev")
         a, lb = st["a"], st["lb"]
-        alt = ctx.ccprev[a] - ub_prev[:, None]
+        alt = np.take(ctx.ccprev, a, axis=0) - ub_prev[:, None]
         np.maximum(lb, alt, out=lb)
         counters.bound_update += lb.size
         counters.bound_access += lb.size

@@ -68,9 +68,9 @@ class ElkanKernel(Kernel):
             return
         # Candidate mask with the (possibly stale) ub.
         ub_a = ub[act, None]
-        M = (lb[act] <= ub_a) & (0.5 * ctx.cc[a[act]] <= ub_a)
+        M = (np.take(lb, act, axis=0) <= ub_a) & (0.5 * np.take(ctx.cc, a[act], axis=0) <= ub_a)
         if self.use_groups:
-            M &= lbg[act][:, ctx.groups] <= ub_a  # group filter per centre
+            M &= np.take(lbg, act, axis=0)[:, ctx.groups] <= ub_a  # group filter per centre
         M[np.arange(len(act)), a[act]] = False
         counters.bound_access += len(act) * k
         rows_any = np.where(M.any(1))[0]
@@ -82,7 +82,7 @@ class ElkanKernel(Kernel):
         lb[r1, a[r1]] = d_a
         counters.bound_update += 2 * len(r1)
         ub_t = d_a[:, None]
-        M2 = (lb[r1] <= ub_t) & (0.5 * ctx.cc[a[r1]] <= ub_t)
+        M2 = (np.take(lb, r1, axis=0) <= ub_t) & (0.5 * np.take(ctx.cc, a[r1], axis=0) <= ub_t)
         M2[np.arange(len(r1)), a[r1]] = False
         counters.bound_access += len(r1) * k
         rr, cols = np.nonzero(M2)

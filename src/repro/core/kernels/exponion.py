@@ -28,7 +28,7 @@ class ExponionKernel(HamerlyKernel):
         R = 2.0 * d_a_fail + nn
         # Candidates: prefix of the assigned centroid's sorted neighbour
         # row whose cc distance is ≤ R (always includes a and its nn).
-        cnt = (ctx.cc_sorted[aR] <= R[:, None]).sum(1).astype(np.int64)
+        cnt = (np.take(ctx.cc_sorted, aR, axis=0) <= R[:, None]).sum(1).astype(np.int64)
         pos, rows = slices(np.zeros_like(cnt), cnt)
         cols = ctx.cc_order[aR[rows], pos]
         d = candidate_dists(X, ctx.centers, fail, rows, cols, counters, x2=st["x2"], c2=ctx.c2)

@@ -63,5 +63,6 @@ class HamerlyKernel(Kernel):
 
         Annular/Exponion override this with a restricted candidate scan.
         """
-        na, d1, d2, _ = scan_dists(X[fail], ctx.centers, top2, counters, st["x2"][fail], ctx.c2)
+        na, d1, d2, _ = scan_dists(np.take(X, fail, axis=0), ctx.centers, top2, counters,
+                                   st["x2"][fail], ctx.c2)
         st["a"][fail], st["ub"][fail], st["lb"][fail] = na, d1, d2

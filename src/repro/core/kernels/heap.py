@@ -55,7 +55,7 @@ class HeapKernel(Kernel):
         pops = np.where(adj < 0)[0]
         counters.bound_access += k + len(pops)
         if len(pops):
-            na, d1, d2, _ = scan_dists(X[pops], ctx.centers, top2, counters,
+            na, d1, d2, _ = scan_dists(np.take(X, pops, axis=0), ctx.centers, top2, counters,
                                        st["x2"][pops], ctx.c2)
             a[pops] = na
             lu[pops] = d2 - d1

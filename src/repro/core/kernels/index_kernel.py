@@ -33,7 +33,7 @@ def node_dists(tree: ArrayTree, nodes: np.ndarray, cand: np.ndarray,
 
     Charges one distance per candidate, the pairs the algorithm uses.
     """
-    D = sq_dists(tree.pivot[nodes], ctx.centers, c2=ctx.c2)
+    D = sq_dists(np.take(tree.pivot, nodes, axis=0), ctx.centers, c2=ctx.c2)
     np.sqrt(D, out=D)
     D[~cand] = np.inf
     counters.dist += int(cand.sum())
@@ -80,7 +80,7 @@ def descend(X: np.ndarray, tree: ArrayTree, st: dict, ctx: IterCtx, counters: Co
             a[pts] = segment_min(vals, cols, pair_pt, len(pts))[1]
         inner = ~(one | leaf)
         nodes, rows = children(tree, nodes[inner])
-        cand = keep[inner][rows]
+        cand = np.take(keep[inner], rows, axis=0)
 
 
 def ball_keep(tree: ArrayTree, nodes: np.ndarray, cand: np.ndarray, ctx: IterCtx,
@@ -105,21 +105,21 @@ def kanungo_keep(kt: KDTree, C: np.ndarray, nodes: np.ndarray, cand: np.ndarray,
     closer to the box corner v that lies furthest towards z; a tie at v
     keeps z, so an exact tie is left to the leaf's argmin.
     """
-    lo, hi = kt.bb_min[nodes], kt.bb_max[nodes]
+    lo, hi = np.take(kt.bb_min, nodes, axis=0), np.take(kt.bb_max, nodes, axis=0)
     mid = 0.5 * (lo + hi)
     rows, cols = np.nonzero(cand)
     counters.dist += 3 * len(rows)
     dmid = np.full(cand.shape, np.inf)
     for b in blocks(len(rows), C.shape[1]):
         r, c = rows[b], cols[b]
-        diff = C[c] - mid[r]
+        diff = np.take(C, c, axis=0) - np.take(mid, r, axis=0)
         dmid[r, c] = np.einsum("ij,ij->i", diff, diff)
     zstar = dmid.argmin(1)
     keep = np.zeros_like(cand)
     for b in blocks(len(rows), C.shape[1]):
         r, c = rows[b], cols[b]
-        Cc, zc = C[c], C[zstar[r]]
-        v = np.where(Cc > zc, hi[r], lo[r])
+        Cc, zc = np.take(C, c, axis=0), np.take(C, zstar[r], axis=0)
+        v = np.where(Cc > zc, np.take(hi, r, axis=0), np.take(lo, r, axis=0))
         dz, dzs = Cc - v, zc - v
         keep[r, c] = np.einsum("ij,ij->i", dz, dz) <= np.einsum("ij,ij->i", dzs, dzs)
     return keep

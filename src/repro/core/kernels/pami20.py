@@ -38,7 +38,8 @@ class Pami20Kernel(Kernel):
             cand = cand[cand != j]
             if len(cand) == 0:
                 continue
-            D = sq_dists(X[rows], ctx.centers[cand], st["x2"][rows], ctx.c2[cand])
+            D = sq_dists(np.take(X, rows, axis=0), np.take(ctx.centers, cand, axis=0),
+                         st["x2"][rows], ctx.c2[cand])
             np.sqrt(D, out=D)
             counters.dist += len(rows) * len(cand)
             counters.data_access += len(rows) * len(cand)

@@ -45,6 +45,7 @@ class SearchKernel(Kernel):
         np.minimum.at(a, pts, js)
         rest = np.flatnonzero(a == k)
         if len(rest):
-            D = full_dists(X[rest], ctx.centers, counters, st["x2"][rest], ctx.c2)
+            D = full_dists(np.take(X, rest, axis=0), ctx.centers, counters,
+                           st["x2"][rest], ctx.c2)
             a[rest] = D.argmin(1)
         st["a"] = a

@@ -43,7 +43,7 @@ def _hamerly_points(X, idx, st, ctx, counters: Counters) -> None:
     if len(idx) == 0:
         return
     sub = {key: st[key][idx] for key in ("a", "ub", "lb", "x2")}
-    HamerlyKernel().step(X[idx], sub, ctx, counters)
+    HamerlyKernel().step(np.take(X, idx, axis=0), sub, ctx, counters)
     for key in ("a", "ub", "lb"):
         st[key][idx] = sub[key]
 
@@ -152,7 +152,7 @@ class UniKKernel(Kernel):
                                   excl[leaf], b[leaf], ub[leaf])
             inner = ~(bat | leaf)
             nodes, rows = children(tree, nodes[inner])
-            cand, excl = keep[inner][rows], excl[inner][rows]
+            cand, excl = np.take(keep[inner], rows, axis=0), excl[inner][rows]
 
     def _eval_leaves(self, X, st, ctx, counters, leaves, cand, excl, b, ub) -> None:
         """Assign the points of leaves that could not be batch-assigned."""
@@ -216,9 +216,10 @@ class UniKKernel(Kernel):
         # Every active or frontier node has a cached centroid.
         b = st["node_assigned"][failed]
         ubn = st["node_ub"][failed]
-        ball = ctx.cc[b] <= 2.0 * ubn[:, None]
+        ccb = np.take(ctx.cc, b, axis=0)
+        ball = ccb <= 2.0 * ubn[:, None]
         ball[np.arange(len(failed)), b] = True
-        excl = np.where(ball, np.inf, ctx.cc[b]).min(1) - ubn
+        excl = np.where(ball, np.inf, ccb).min(1) - ubn
         counters.bound_access += ctx.k * len(failed)
         self._descend(X, st, ctx, counters, failed, ball, excl)
         _hamerly_points(X, pts_prev, st, ctx, counters)

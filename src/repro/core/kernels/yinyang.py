@@ -125,7 +125,7 @@ class _YinyangBase(Kernel):
         # A survivor expands its candidate groups (group filter lbg < ub)
         # and its own centroid's group, which carries ub. Segments are
         # (row, group) in row-major order, so each row's pairs are one run.
-        ok = lbg[R] < ubR[:, None]
+        ok = np.take(lbg, R, axis=0) < ubR[:, None]
         expand = ok.copy()
         expand[np.arange(m), groups[aR]] = True
         seg_id = np.cumsum(expand.ravel()).reshape(m, t) - 1
@@ -162,7 +162,7 @@ class _YinyangBase(Kernel):
         bc[ask] = d
         bc[ia] = ubR
         bc[at(jstar)] = np.inf
-        new = lbg_pre[R] - ctx.group_delta_max[None, :]
+        new = np.take(lbg_pre, R, axis=0) - ctx.group_delta_max[None, :]
         new[sr, sg] = np.minimum.reduceat(bc, seg_start)
         lbg[R] = new
         a[R] = jstar

@@ -125,7 +125,7 @@ def _refine_increment(
     moved = np.where(a_prev != a_new)[0]
     if len(moved) == 0:
         return
-    pts = X[moved]
+    pts = np.take(X, moved, axis=0)
     old = a_prev[moved]
     valid = old >= 0
     if valid.any():

@@ -123,7 +123,8 @@ def range_hits(
     while len(nodes):
         visits += len(nodes)
         t = thresh[qs]
-        dq = np.linalg.norm(Q[qs] - tree.pivot[nodes], axis=1)
+        diff = np.take(Q, qs, axis=0) - np.take(tree.pivot, nodes, axis=0)
+        dq = np.linalg.norm(diff, axis=1)
         r = tree.radius[nodes]
         live = dq - r <= t
         whole = live & (dq + r <= t)
@@ -135,7 +136,8 @@ def range_hits(
         q = qs[leaf][rows]
         near = np.empty(len(pts), dtype=bool)
         for b in blocks(len(pts), X.shape[1]):
-            near[b] = np.linalg.norm(X[pts[b]] - Q[q[b]], axis=1) <= thresh[q[b]]
+            diff = np.take(X, pts[b], axis=0) - np.take(Q, q[b], axis=0)
+            near[b] = np.linalg.norm(diff, axis=1) <= thresh[q[b]]
         leaf_dists += len(pts)
         hit_pts.append(pts[near])
         hit_qs.append(q[near])
@@ -203,14 +205,15 @@ def build_tree(X: np.ndarray, split: Split, capacity: int) -> ArrayTree:
     pre = np.lexsort((depth, start))  # pre-order position -> creation id
     rank = np.empty_like(pre)
     rank[pre] = np.arange(len(pre))
-    pivot, sv, radius, num, pt_start = pivot[pre], sv[pre], radius[pre], size[pre], start[pre]
+    pivot, sv = np.take(pivot, pre, axis=0), np.take(sv, pre, axis=0)
+    radius, num, pt_start = radius[pre], size[pre], start[pre]
     parent_arr = rank[parent[pre[1:]]]
     m = len(pre)
     # psi is np.linalg.norm(child - parent), whose BLAS dot rounds by the
     # vector's 16-byte alignment (a fresh vector is aligned). A (1, d) @
     # (d, 1) matmul calls that dot per row, so every row starts aligned.
     diff = np.empty((m - 1, d + d % 2))[:, :d]
-    np.subtract(pivot[1:], pivot[parent_arr], out=diff)
+    np.subtract(pivot[1:], np.take(pivot, parent_arr, axis=0), out=diff)
     psi = np.zeros(m)
     psi[1:] = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
     child_start = np.zeros(m + 1, dtype=np.int64)
@@ -246,7 +249,7 @@ def _chunk(X, perm, start, size, split, capacity):
     rank = np.arange(L)[:, None]
     pad = rank >= size
     pos = np.minimum(start + rank, len(perm) - 1)
-    P = X[perm[pos]]
+    P = np.take(X, perm[pos], axis=0)
     P[pad] = -0.0  # adds nothing to a sum
     sv = P.sum(0)
     pivot = sv / size[:, None]

@@ -23,6 +23,7 @@ from repro.core.linalg import (
     sse,
 )
 from repro.core.metrics import Counters
+from repro.index.base import BLOCK
 
 
 def _brute(X, C):
@@ -115,6 +116,38 @@ def test_pair_dists_matches_brute(xc):
     cols = rng.integers(0, 9, 40)
     ref = _brute(X, C)[rows, cols]
     assert np.allclose(pair_dists(X, C, rows, cols), ref)
+
+
+def _pair_ref(X, C, rows, cols, x2, c2):
+    """Every pair at once by fancy indexing, in ``pair_dists``' order."""
+    xs, cs = X[rows], C[cols]
+    x2r = np.einsum("ij,ij->i", xs, xs) if x2 is None else x2[rows]
+    c2r = np.einsum("ij,ij->i", cs, cs) if c2 is None else c2[cols]
+    return np.sqrt(np.maximum(x2r + c2r - 2.0 * np.einsum("ij,ij->i", xs, cs), 0.0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 57])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("norms", [False, True])
+def test_pair_and_candidate_dists_bits(d, dtype, order, norms):
+    rng = np.random.default_rng([d, norms])
+    X = np.asarray(rng.normal(size=(700, d)), order=order)
+    C = rng.normal(size=(40, d))
+    x2 = np.einsum("ij,ij->i", X, X) if norms else None
+    c2 = np.einsum("ij,ij->i", C, C) if norms else None
+    # More pairs than one block holds, unsorted and with repeats.
+    n_pairs = 3 * (BLOCK // d) + 7
+    rows = rng.integers(0, 700, n_pairs).astype(dtype)
+    cols = rng.integers(0, 40, n_pairs).astype(dtype)
+    ref = _pair_ref(X, C, rows, cols, x2, c2)
+    assert np.array_equal(pair_dists(X, C, rows, cols, x2=x2, c2=c2), ref)
+    # candidate_dists' sparse path: pairs (r1[rr], cols).
+    r1 = rng.permutation(700)[:300].astype(dtype)
+    rr = np.sort(rng.integers(0, 300, 900)).astype(dtype)
+    cc = rng.integers(0, 40, 900).astype(dtype)
+    got = candidate_dists(X, C, r1, rr, cc, x2=x2, c2=c2)
+    assert np.array_equal(got, _pair_ref(X, C, r1[rr], cc, x2, c2))
 
 
 def test_pair_dists_with_cached_norms(xc):
