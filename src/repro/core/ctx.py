@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import cdist_cc
+from .linalg import full_dists
 
 
 @dataclass
@@ -75,7 +75,7 @@ def group_centers(C: np.ndarray, t: int, seed: int = 0, iters: int = 5) -> np.nd
     seeds = C[rng.choice(k, size=t, replace=False)]
     assign = np.zeros(k, dtype=np.int64)
     for _ in range(max(1, iters)):
-        d = cdist_cc(C, seeds)
+        d = full_dists(C, seeds)
         assign = d.argmin(1)
         for g in range(t):
             m = assign == g
@@ -103,7 +103,7 @@ def make_ctx(
     if needs & {"c2", "norm_order"}:
         ctx.c2 = np.einsum("ij,ij->i", centers, centers)
     if needs & {"cc", "s", "cc_order"}:
-        ctx.cc = cdist_cc(centers, centers)
+        ctx.cc = full_dists(centers, centers)
         ctx.driver_dist += k * (k - 1) // 2
         cc_inf = ctx.cc + np.diag(np.full(k, np.inf))
         ctx.s = 0.5 * cc_inf.min(1)
@@ -127,6 +127,6 @@ def make_ctx(
     if "blocks" in needs:
         ctx.c_blocks, ctx.c_resid = _block_decompose(centers)
     if "ccprev" in needs:
-        ctx.ccprev = cdist_cc(prev_centers, centers)
+        ctx.ccprev = full_dists(prev_centers, centers)
         ctx.driver_dist += k * k
     return ctx

@@ -26,11 +26,16 @@ Contract:
 Every kernel is exact: after each call, ``st['a']`` must equal plain
 Lloyd's assignment for the same centroids, ties included. Every kernel
 breaks an exact distance tie like Lloyd's ``argmin``, toward the lowest
-centroid id: it picks through ``argmin``, ``top2``, ``segment_min`` or
-``segment_top2`` below, and no bound test may
-skip a centroid that ties the assigned one and has a lower id, so a
-skip or prune needs a strict inequality wherever equality would leave
-such a tie unseen.
+centroid id. Two decisions carry that rule, each behind one function:
+every dense distance comes from ``linalg._dist_blocks`` (through
+``scan_dists``, ``full_dists`` or ``candidate_dists``' dense path) and
+every per-pair one from ``linalg.pair_dists``; every pick goes through
+``argmin``, ``top2``, ``segment_min`` or ``segment_top2`` below, and a
+kernel that settles a candidate against its assigned centroid does so
+with ``nearer``.
+No bound test may skip a centroid that ties the assigned one and has a
+lower id, so a skip or prune needs a strict inequality wherever
+equality would leave such a tie unseen.
 """
 from __future__ import annotations
 
@@ -116,6 +121,12 @@ def top2(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return a, d1, d2, arg2
 
 
+def nearer(d: np.ndarray, j: np.ndarray, d_ref: np.ndarray, j_ref: np.ndarray) -> np.ndarray:
+    """Where centroid ``j`` at distance ``d`` beats ``j_ref`` at ``d_ref``:
+    strictly nearer, or equally near with the lower id (Lloyd's ``argmin``)."""
+    return (d < d_ref) | ((d == d_ref) & (j < j_ref))
+
+
 def segment_min(
     vals: np.ndarray, cols: np.ndarray, seg: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -151,3 +162,29 @@ def segment_top2(
     rest = cols != c1[seg]
     d2, c2 = segment_min(vals[rest], cols[rest], seg[rest], n)
     return d1, c1, d2, c2
+
+
+# ---------------------------------------------------------------------------
+# Centroid groups (Yinyang, Regroup, Full).
+
+
+def group_min(M: np.ndarray, order: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Per-group column minima of ``M`` → (rows × t), where group g owns the
+    ``count[g]`` columns after groups 0..g−1 in ``order``; an empty group
+    gives +inf."""
+    out = np.full((M.shape[0], len(count)), np.inf)
+    ends = np.cumsum(count)
+    for g in np.flatnonzero(count):
+        out[:, g] = M[:, order[ends[g] - count[g] : ends[g]]].min(1)
+    return out
+
+
+def group_layout(groups: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group-contiguous centroid order: group g is ``order[start[g]:start[g] + count[g]]``
+    in ascending id; ``rank[j]`` is centroid j's position in ``order``."""
+    order = np.argsort(groups, kind="stable")
+    count = np.bincount(groups, minlength=t)
+    start = np.cumsum(count) - count
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return order, start, count, rank

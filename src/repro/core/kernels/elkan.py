@@ -14,7 +14,7 @@ import numpy as np
 from ..ctx import IterCtx
 from ..linalg import candidate_dists, full_dists, pair_dists
 from ..metrics import Counters
-from .base import Kernel, register, segment_min, top2
+from .base import Kernel, group_layout, group_min, nearer, register, segment_min, top2
 
 
 @register("elka")
@@ -50,13 +50,10 @@ class ElkanKernel(Kernel):
         if self.use_groups:
             # Full: group bounds derived as group-minima of the lb matrix
             # add a Yinyang-style global/group filter on top of Elkan's.
-            lbg = np.full((n, ctx.n_groups), np.inf)
             lb_masked = lb.copy()
             lb_masked[np.arange(n), a] = np.inf
-            for g in range(ctx.n_groups):
-                cols_g = np.where(ctx.groups == g)[0]
-                if len(cols_g):
-                    lbg[:, g] = lb_masked[:, cols_g].min(1)
+            order, _, count, _ = group_layout(ctx.groups, ctx.n_groups)
+            lbg = group_min(lb_masked, order, count)
             gmin = lbg.min(1)
             counters.bound_access += n * k + n * ctx.n_groups
             skip = ub < np.maximum(ctx.s[a], gmin)
@@ -91,7 +88,7 @@ class ElkanKernel(Kernel):
         lb[r1[rr], cols] = d
         counters.bound_update += len(rr)
         best, arg = segment_min(d, cols, rr, len(r1))
-        upd = (best < d_a) | ((best == d_a) & (arg < a[r1]))
+        upd = nearer(best, arg, d_a, a[r1])
         rows_u = r1[upd]
         a[rows_u] = arg[upd]
         ub[rows_u] = best[upd]

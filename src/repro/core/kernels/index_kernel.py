@@ -22,7 +22,7 @@ import numpy as np
 from ...index import BALL_INDEXES, KDTree, build_kdtree
 from ...index.base import ArrayTree, blocks, children, covered, slices
 from ..ctx import IterCtx
-from ..linalg import candidate_dists, sq_dists
+from ..linalg import candidate_dists, full_dists
 from ..metrics import Counters
 from .base import Kernel, register, segment_min
 
@@ -33,8 +33,7 @@ def node_dists(tree: ArrayTree, nodes: np.ndarray, cand: np.ndarray,
 
     Charges one distance per candidate, the pairs the algorithm uses.
     """
-    D = sq_dists(np.take(tree.pivot, nodes, axis=0), ctx.centers, c2=ctx.c2)
-    np.sqrt(D, out=D)
+    D = full_dists(np.take(tree.pivot, nodes, axis=0), ctx.centers, c2=ctx.c2)
     D[~cand] = np.inf
     counters.dist += int(cand.sum())
     return D

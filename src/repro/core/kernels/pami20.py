@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..ctx import IterCtx
-from ..linalg import pair_dists, scan_dists, sq_dists
+from ..linalg import full_dists, pair_dists, scan_dists
 from ..metrics import Counters
-from .base import Kernel, argmin, register
+from .base import Kernel, argmin, nearer, register
 
 
 @register("pami20")
@@ -38,15 +38,12 @@ class Pami20Kernel(Kernel):
             cand = cand[cand != j]
             if len(cand) == 0:
                 continue
-            D = sq_dists(np.take(X, rows, axis=0), np.take(ctx.centers, cand, axis=0),
-                         st["x2"][rows], ctx.c2[cand])
-            np.sqrt(D, out=D)
-            counters.dist += len(rows) * len(cand)
-            counters.data_access += len(rows) * len(cand)
+            D = full_dists(np.take(X, rows, axis=0), np.take(ctx.centers, cand, axis=0),
+                           counters, st["x2"][rows], ctx.c2[cand])
             jmin = D.argmin(1)
             dmin = D[np.arange(len(rows)), jmin]
             amin = cand[jmin]
-            upd = (dmin < best[rows]) | ((dmin == best[rows]) & (amin < j))
+            upd = nearer(dmin, amin, best[rows], j)
             best[rows[upd]] = dmin[upd]
             arg[rows[upd]] = amin[upd]
         st["a"] = arg

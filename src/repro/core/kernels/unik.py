@@ -172,11 +172,11 @@ class UniKKernel(Kernel):
         gone = leaves[dis]
         if len(gone):
             # Poorly-pruned leaf: hand its points to per-point bounds (the
-            # sequential side of the unified pipeline). Its rows take the
-            # dense BLAS path, as full_dists does: a per-pair dot rounds
+            # sequential side of the unified pipeline). Its rows' distances
+            # come from full_dists, not pair_dists: a per-pair dot rounds
             # differently, and where a centroid sits on a data point the
             # square root turns that into ~1e-7, enough for a seeded ub to
-            # undercut the same distance evaluated by full_dists.
+            # undercut the same distance from the dense scans.
             pts, rows, pair_pt, cols = leaf_pairs(tree, gone, cand[dis])
             vals = candidate_dists(X, ctx.centers, pts, pair_pt, cols, counters,
                                    x2=st["x2"], c2=ctx.c2, dense_threshold=0.0)

@@ -28,29 +28,7 @@ from ...index.base import slices
 from ..ctx import IterCtx
 from ..linalg import candidate_dists, full_dists, pair_dists
 from ..metrics import Counters
-from .base import Kernel, register, segment_min
-
-
-def _group_min(M: np.ndarray, order: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Per-group column minima of ``M`` → (rows × t), where group g owns the
-    ``count[g]`` columns after groups 0..g−1 in ``order``; an empty group
-    gives +inf."""
-    out = np.full((M.shape[0], len(count)), np.inf)
-    ends = np.cumsum(count)
-    for g in np.flatnonzero(count):
-        out[:, g] = M[:, order[ends[g] - count[g] : ends[g]]].min(1)
-    return out
-
-
-def _layout(groups: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group-contiguous centroid order: group g is ``order[start[g]:start[g] + count[g]]``
-    in ascending id; ``rank[j]`` is centroid j's position in ``order``."""
-    order = np.argsort(groups, kind="stable")
-    count = np.bincount(groups, minlength=t)
-    start = np.cumsum(count) - count
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return order, start, count, rank
+from .base import Kernel, group_layout, group_min, nearer, register, segment_min
 
 
 class _YinyangBase(Kernel):
@@ -69,8 +47,8 @@ class _YinyangBase(Kernel):
         a = D.argmin(1)
         d1 = D[rows, a]
         D[rows, a] = np.inf
-        order, _, count, _ = _layout(ctx.groups, ctx.n_groups)
-        st["lbg"] = _group_min(D, order, count)
+        order, _, count, _ = group_layout(ctx.groups, ctx.n_groups)
+        st["lbg"] = group_min(D, order, count)
         st["a"], st["ub"] = a, d1
         st["groups"] = ctx.groups.copy()
         counters.bound_update += st["lbg"].size + len(a)
@@ -101,7 +79,7 @@ class _YinyangBase(Kernel):
             dmax = np.zeros(len(pair))
             np.maximum.at(dmax, inv, delta)
             count = np.bincount(pair // t_old, minlength=t)
-            lbg = _group_min(lbg[:, pair % t_old] - dmax, np.arange(len(pair)), count)
+            lbg = group_min(lbg[:, pair % t_old] - dmax, np.arange(len(pair)), count)
             lbg_pre = lbg + 0.0  # already per new groups; reuse as pre
             st["lbg"] = lbg
             st["groups"] = groups.copy()
@@ -121,7 +99,7 @@ class _YinyangBase(Kernel):
         m = len(R)
         ubR, aR = ub[R], a[R]
         counters.bound_access += m * k
-        order, start, count, rank = _layout(groups, t)
+        order, start, count, rank = group_layout(groups, t)
         # A survivor expands its candidate groups (group filter lbg < ub)
         # and its own centroid's group, which carries ub. Segments are
         # (row, group) in row-major order, so each row's pairs are one run.
@@ -153,7 +131,7 @@ class _YinyangBase(Kernel):
         # New centroid: the lowest-id minimum (Lloyd's argmin) over the
         # computed pairs, then against the own centroid at ub.
         dmin, jmin = segment_min(d, ccols, rows, m)
-        stay = (ubR < dmin) | ((ubR == dmin) & (aR < jmin))
+        stay = nearer(ubR, aR, dmin, jmin)
         jstar = np.where(stay, aR, jmin)
         # New group bounds: exact distances where computed, per-centre
         # bounds elsewhere; the newly assigned centre is excluded. A group

@@ -10,17 +10,22 @@ grain (Yinyang expands each surviving (point, group) segment), and
 ``index.base.BLOCK // d`` pairs, so its (pairs, d) gathers stay near
 cache size however many pairs are asked.
 
-A dense scan over all k centroids walks X in row blocks of ``SCAN_ROWS``
-whose product and distances stay in cache. ``scan_dists`` hands each
-block to a per-row pick and never holds the n×k grid: Lloyd, the
-iteration-0 scans of Hamerly, Heap, Annular and Pami20, and the rescans
-of Hamerly and Heap use it. ``full_dists`` fills the n×k grid from the
-same blocks, for the callers that keep more than a pick per row:
-Elkan's lower-bound matrix, Drake's sorted rows and Yinyang/Regroup's
-per-group row minima. Search's rest scan also stays on it: with a
-blocked pick its iterations ran slower, because its range queries'
-large temporaries then start on fresh pages (no freed n×k grid raises
-glibc's dynamic mmap threshold).
+``_dist_blocks`` is the one place the dense expanded form
+``‖x‖² + ‖c‖² − 2·x·c`` (clamped at 0, then square-rooted) is
+evaluated, so every dense distance comes from one formula in one order;
+``pair_dists`` is its per-pair form. It walks X in row blocks of
+``SCAN_ROWS`` whose product and distances stay in cache. ``scan_dists``
+hands each block to a per-row pick and never holds the n×k grid: Lloyd,
+the iteration-0 scans of Hamerly, Heap, Annular and Pami20, and the
+rescans of Hamerly and Heap use it. ``full_dists`` fills the n×k grid
+from the same blocks, for every other dense caller: Elkan's lower-bound
+matrix, Drake's sorted rows, Yinyang/Regroup's per-group row minima,
+``candidate_dists``' dense path, INDE's and UniK's pivot distances,
+Pami20's per-cluster blocks and the driver's centroid matrices
+(``ctx``). Search's rest scan also stays on it: with a blocked pick its
+iterations ran slower, because its range queries' large temporaries
+then start on fresh pages (no freed n×k grid raises glibc's dynamic
+mmap threshold).
 
 Gathers. Whole rows are gathered by an integer index array with
 ``np.take(A, idx, axis=0)``, here and in the kernels and tree builders:
@@ -41,65 +46,55 @@ from ..index.base import blocks
 from .metrics import Counters
 
 
-def sq_dists(
-    X: np.ndarray,
-    C: np.ndarray,
-    x2: np.ndarray | None = None,
-    c2: np.ndarray | None = None,
-) -> np.ndarray:
-    """All squared Euclidean distances between the rows of X and of C.
-
-    The one dense expanded-form formula ``‖x‖² + ‖c‖² − 2·x·c``, clamped
-    at 0 against rounding. ``x2``/``c2`` are optional precomputed squared
-    norms of the rows of X and C.
-    """
-    if x2 is None:
-        x2 = np.einsum("ij,ij->i", X, X)
-    if c2 is None:
-        c2 = np.einsum("ij,ij->i", C, C)
-    d2 = x2[:, None] + c2[None, :] - 2.0 * (X @ C.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 #: Rows of X per block of a dense scan: a (SCAN_ROWS, k) block of
 #: distances and its product stay in cache, where an n×k grid would
 #: stream through memory once per temporary.
 SCAN_ROWS = 1024
 
 
-def _dist_blocks(X, C, x2, c2, out=None):
-    """X's distances to C, one row block at a time (Goto & van de Geijn's
-    rule: keep the product's output block in cache and reuse it).
+def _dist_blocks(X, C, x2, c2, pick=None):
+    """X's Euclidean distances to C, one row block at a time (Goto & van de
+    Geijn's rule: keep the product's output block in cache and reuse it).
 
-    Each block is computed in :func:`sq_dists`' per-element order —
-    ``(x2 + c2) − 2·(X·Cᵀ)``, the clamp at 0 — then square-rooted, into a
-    reused (SCAN_ROWS, k) buffer, or into its rows of ``out``. numpy
-    multiplies a one-row block by GEMV, which sums in another order than
-    a taller block's GEMM, so a one-row tail joins the block before it.
+    The one place the dense expanded form is evaluated: per block,
+    ``(x2 + c2) − 2·(X·Cᵀ)``, the clamp at 0 and ``sqrt``, in place. With
+    ``pick=None`` the blocks fill and return one n×k array; otherwise the
+    list of ``pick(block)`` is returned, and each block is overwritten by
+    the next. Up to ``SCAN_ROWS + 1`` rows are one block with no loop or
+    reused buffers (INDE's and UniK's node frontiers take this path once
+    per step); longer X is walked in blocks of ``SCAN_ROWS`` rows through
+    two reused buffers. numpy multiplies a one-row block by GEMV, which
+    sums in another order than a taller block's GEMM, so a one-row tail
+    joins the block before it.
     """
     n, k = X.shape[0], C.shape[0]
     if x2 is None:
         x2 = np.einsum("ij,ij->i", X, X)
     if c2 is None:
         c2 = np.einsum("ij,ij->i", C, C)
-    starts = list(range(0, max(n, 1), SCAN_ROWS))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    ends = starts[1:] + [n]
-    rows = max(e - s for s, e in zip(starts, ends))
-    G = np.empty((rows, k))
-    D = np.empty((rows, k)) if out is None else None
-    for s, e in zip(starts, ends):
-        g = G[: e - s]
-        d = D[: e - s] if out is None else out[s:e]
-        np.matmul(X[s:e], C.T, out=g)
-        np.add(x2[s:e, None], c2[None, :], out=d)
+
+    def block(Xb, x2b, g=None, d=None):
+        g = np.matmul(Xb, C.T, out=g)
+        d = np.add(x2b[:, None], c2, out=d)
         g *= 2.0
         d -= g
         np.maximum(d, 0.0, out=d)
-        np.sqrt(d, out=d)
-        yield d
+        return np.sqrt(d, out=d)
+
+    if n <= SCAN_ROWS + 1:
+        d = block(X, x2)
+        return d if pick is None else [pick(d)]
+    G = np.empty((SCAN_ROWS + 1, k))
+    D = np.empty((n, k) if pick is None else (SCAN_ROWS + 1, k))
+    parts = []
+    s = 0
+    while s < n:
+        e = n if n - s <= SCAN_ROWS + 1 else s + SCAN_ROWS
+        d = block(X[s:e], x2[s:e], G[: e - s], D[s:e] if pick is None else D[: e - s])
+        if pick is not None:
+            parts.append(pick(d))
+        s = e
+    return D if pick is None else parts
 
 
 def _charge(counters: Counters | None, n: int, k: int) -> None:
@@ -120,9 +115,7 @@ def full_dists(
     Computed in the same row blocks as :func:`scan_dists`, so both give
     the same bits at any BLAS thread count.
     """
-    out = np.empty((X.shape[0], C.shape[0]))
-    for _ in _dist_blocks(X, C, x2, c2, out):
-        pass
+    out = _dist_blocks(X, C, x2, c2)
     _charge(counters, *out.shape)
     return out
 
@@ -143,7 +136,7 @@ def scan_dists(
     per-block results are concatenated. Charges n·k distances as
     ``full_dists`` does.
     """
-    parts = [pick(d) for d in _dist_blocks(X, C, x2, c2)]
+    parts = _dist_blocks(X, C, x2, c2, pick)
     _charge(counters, X.shape[0], C.shape[0])
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p) for p in zip(*parts))
@@ -195,10 +188,11 @@ def candidate_dists(
 ) -> np.ndarray:
     """Distances for candidate pairs (r1[rr[i]], cols[i]).
 
-    When the candidate density exceeds ``dense_threshold`` the rows are
-    evaluated with one BLAS matmul and the pairs extracted (cheaper in
-    memory traffic than gathering each pair); counters still charge only
-    the candidate pairs — the quantity the *algorithm* computes.
+    When the candidate density exceeds ``dense_threshold`` the rows'
+    distances come from :func:`full_dists` and the pairs are extracted
+    (cheaper in memory traffic than gathering each pair); counters still
+    charge only the candidate pairs — the quantity the *algorithm*
+    computes.
     """
     if len(rr) == 0:
         return np.empty(0)
@@ -207,14 +201,9 @@ def candidate_dists(
         counters.dist += len(rr)
         counters.data_access += len(rr)
     if len(rr) > dense_threshold * len(r1) * k:
-        d2 = sq_dists(np.take(X, r1, axis=0), C, None if x2 is None else x2[r1], c2)
-        return np.sqrt(d2[rr, cols])
+        x2r = None if x2 is None else x2[r1]
+        return full_dists(np.take(X, r1, axis=0), C, None, x2r, c2)[rr, cols]
     return pair_dists(X, C, r1[rr], cols, None, x2=x2, c2=c2)
-
-
-def cdist_cc(C1: np.ndarray, C2: np.ndarray) -> np.ndarray:
-    """Small dense centroid↔centroid distance matrix (driver-side)."""
-    return np.sqrt(sq_dists(C1, C2))
 
 
 def kmeans_pp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:

@@ -2,15 +2,21 @@
 
 Next to the Ball-tree (capacity 30, §7.2.1), the kd-tree (capacity 1,
 as the filtering algorithm uses it) and HKT builds are timed too, so
-every index build has a standing measurement.
+every index build has a standing measurement. Each time is the median of
+``BUILD_REPEATS`` builds.
 """
 from __future__ import annotations
 
+import statistics
 import time
 
 from ..data.datasets import SPECS
 from ..index import build_balltree, build_hkt, build_kdtree
 from .common import render_markdown, write_result
+
+#: Builds per tree and dataset; the reported time is their median, since
+#: a single build's time moves by up to 1.6× between runs of the same code.
+BUILD_REPEATS = 3
 
 PAPER_TABLE2 = {  # name -> (n, d, build_seconds, nodes)
     "BigCross": (1_160_000, 57, 10.8, 183_000),
@@ -29,9 +35,12 @@ PAPER_TABLE2 = {  # name -> (n, d, build_seconds, nodes)
 
 
 def _timed(build, X):
-    t0 = time.perf_counter()
-    out = build(X)
-    return out, time.perf_counter() - t0
+    times = []
+    for _ in range(BUILD_REPEATS):
+        t0 = time.perf_counter()
+        out = build(X)
+        times.append(time.perf_counter() - t0)
+    return out, statistics.median(times)
 
 
 def run_table2(write: bool = True) -> list[dict]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.linalg import sq_dists
+from ..core.linalg import full_dists
 
 
 class _Standardizer:
@@ -159,9 +159,9 @@ class KNN:
 
     def predict(self, X):
         Q = self.std.transform(np.asarray(X, dtype=np.float64))
-        d2 = sq_dists(Q, self.X)
+        D = full_dists(Q, self.X)
         kk = min(self.k, len(self.y))
-        nn = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
+        nn = np.argpartition(D, kk - 1, axis=1)[:, :kk]
         out = np.empty(len(Q), dtype=np.int64)
         for i in range(len(Q)):
             out[i] = np.bincount(self.y[nn[i]], minlength=self.n_classes).argmax()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ctx import _block_decompose, group_centers, make_ctx
-from repro.core.linalg import cdist_cc
+from repro.core.linalg import full_dists
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def test_delta_max_ordering(centers):
 def test_s_is_half_nearest_other(centers):
     C, _ = centers
     ctx = make_ctx(C, C, 0, frozenset({"s"}))
-    D = cdist_cc(C, C) + np.diag(np.full(len(C), np.inf))
+    D = full_dists(C, C) + np.diag(np.full(len(C), np.inf))
     assert np.allclose(ctx.s, 0.5 * D.min(1))
 
 
@@ -75,7 +75,7 @@ def test_groups_passed_through(centers):
 def test_ccprev_cross_distances(centers):
     C, P = centers
     ctx = make_ctx(C, P, 1, frozenset({"ccprev"}))
-    assert np.allclose(ctx.ccprev, cdist_cc(P, C))
+    assert np.allclose(ctx.ccprev, full_dists(P, C))
 
 
 def test_group_centers_partition():

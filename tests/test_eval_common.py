@@ -56,8 +56,13 @@ def test_write_result_roundtrip(tmp_path, monkeypatch):
     "job", ["run_kmeans", "table2", "table3", "table4", "table5", "table6"]
 )
 def test_job_entrypoints_importable(job):
-    path = os.path.join(os.path.dirname(__file__), "..", "jobs", f"{job}.py")
-    spec = importlib.util.spec_from_file_location(f"job_{job}", path)
+    # Every table has its entry in jobs/table.py, selected by number.
+    table = job.removeprefix("table")
+    name = "table" if table.isdigit() else job
+    path = os.path.join(os.path.dirname(__file__), "..", "jobs", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"job_{name}", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)  # must import without starting Spark
     assert hasattr(mod, "main")
+    if table.isdigit():
+        assert int(table) in mod.TABLES

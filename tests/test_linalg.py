@@ -14,7 +14,6 @@ from repro.core.kernels.base import argmin, top2
 from repro.core.linalg import (
     SCAN_ROWS,
     candidate_dists,
-    cdist_cc,
     full_dists,
     kmeans_pp_init,
     pair_dists,
@@ -70,7 +69,19 @@ def test_scan_dists_identity_pick_is_full_dists(d, k, n):
 _ONE_THREAD_CHECK = """
 import json, sys
 import numpy as np
-from repro.core.linalg import SCAN_ROWS, scan_dists, sq_dists
+from repro.core.linalg import SCAN_ROWS, scan_dists
+
+
+def sq_dists(X, C, x2=None, c2=None):
+    if x2 is None:
+        x2 = np.einsum("ij,ij->i", X, X)
+    if c2 is None:
+        c2 = np.einsum("ij,ij->i", C, C)
+    d2 = x2[:, None] + c2[None, :] - 2.0 * (X @ C.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
 bad = []
 for d in (1, 2, 57, 784):
     for k in (1, 2, 100):
@@ -83,16 +94,61 @@ print(json.dumps(bad))
 """
 
 
+def _run_one_thread(script):
+    path = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(out.stdout)
+
+
 def test_scan_dists_blocks_keep_one_shot_bits_at_one_thread():
     """At one BLAS thread, blocking changes no bit of the one-shot grid
     ``sqrt(sq_dists)`` (with more threads, the GEMM's split of the whole
     grid can round a row's sums differently from a block's)."""
-    path = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run([sys.executable, "-c", _ONE_THREAD_CHECK], env=env,
-                         capture_output=True, text=True, check=True, timeout=300)
-    assert json.loads(out.stdout) == []
+    assert _run_one_thread(_ONE_THREAD_CHECK) == []
+
+
+_CANDIDATE_CHECK = """
+import json
+import numpy as np
+from repro.core.linalg import SCAN_ROWS, candidate_dists, scan_dists
+bad = []
+for d in (1, 2, 57, 784):
+    rng = np.random.default_rng([d, 3])
+    X, C = rng.normal(size=(3 * SCAN_ROWS, d)), rng.normal(size=(100, d))
+    lloyd = scan_dists(X, C, np.copy)
+    for F in (1, 2, SCAN_ROWS + 1):
+        r1 = rng.permutation(len(X))[:F]
+        rr, cols = np.nonzero(np.ones((F, len(C)), dtype=bool))
+        got = candidate_dists(X, C, r1, rr, cols, x2=np.einsum("ij,ij->i", X, X))
+        if not np.array_equal(got, lloyd[r1[rr], cols]):
+            bad.append([d, F])
+print(json.dumps(bad))
+"""
+
+
+@pytest.fixture(scope="module")
+def candidate_mismatches():
+    return _run_one_thread(_CANDIDATE_CHECK)
+
+
+# Whether a lone row's sums round differently depends on the data, so
+# these cases may also pass.
+_ALONE_ROW = pytest.mark.xfail(strict=False, reason=(
+    "a row OpenBLAS multiplies alone, a one-row block (GEMV) or an odd "
+    "block's last row (a one-row micro-tile), can round differently from "
+    "the same row inside Lloyd's even 1024-row blocks at large d"))
+
+
+@pytest.mark.parametrize("d, F", [
+    (d, F) if d < 57 or F % 2 == 0 else pytest.param(d, F, marks=_ALONE_ROW)
+    for d in (1, 2, 57, 784) for F in (1, 2, SCAN_ROWS + 1)])
+def test_candidate_dense_rows_are_lloyds_at_one_thread(candidate_mismatches, d, F):
+    """``candidate_dists``' dense path, on F unsorted gathered rows, gives
+    the bits of Lloyd's blocked scan for those rows."""
+    assert [d, F] not in candidate_mismatches
 
 
 def test_scan_dists_tuple_pick_and_counts():
@@ -190,7 +246,7 @@ def test_candidate_dists_counts_only_pairs(xc):
 
 def test_cdist_cc_symmetric(xc):
     _, C = xc
-    D = cdist_cc(C, C)
+    D = full_dists(C, C)
     assert np.allclose(D, D.T)
     assert np.allclose(np.diag(D), 0.0)
 

@@ -1,13 +1,14 @@
 """The shared nearest-centroid picks agree with a per-row Python loop.
 
 ``top2``, ``segment_min`` and ``segment_top2`` are how every kernel picks
-its centroid and runner-up, so they carry Lloyd's tie rule: among equal
+its centroid and runner-up, and ``nearer`` is how it settles a candidate
+against the assigned one, so they carry Lloyd's tie rule: among equal
 values the lowest centroid id wins.
 """
 import numpy as np
 import pytest
 
-from repro.core.kernels.base import segment_min, segment_top2, top2
+from repro.core.kernels.base import nearer, segment_min, segment_top2, top2
 
 
 def _loop_top2(pairs):
@@ -66,3 +67,20 @@ def test_top2_matches_loop_and_leaves_input(k):
         if k > 1:
             assert arg2[r] == want[3]
     assert (a == D.argmin(1)).all()
+
+
+def test_nearer_breaks_ties_toward_lower_id():
+    inf = np.inf
+    d = np.array([1.0, 1.0, 2.0, 1.0, inf, inf, 3.0, inf])
+    j = np.array([2, 5, 0, 4, -1, 7, 9, -1])
+    d_ref = np.array([1.0, 1.0, 1.0, 2.0, inf, inf, inf, 3.0])
+    j_ref = np.array([5, 2, 3, 0, 7, -1, -1, 9])
+    want = np.array([True, False, False, True, True, False, True, False])
+    assert np.array_equal(nearer(d, j, d_ref, j_ref), want)
+    # Swapping the arguments flips every decision: no pair is nearer both ways.
+    assert np.array_equal(nearer(d_ref, j_ref, d, j), ~want)
+    # The same centroid at the same distance is not nearer.
+    assert not nearer(np.array([1.0]), np.array([3]), np.array([1.0]), np.array([3]))[0]
+    # A scalar reference id, as Pami20 passes its cluster's id.
+    assert np.array_equal(nearer(np.array([1.0, 1.0]), np.array([2, 4]), np.array([1.0, 1.0]), 3),
+                          [True, False])
