@@ -206,6 +206,80 @@ def candidate_dists(
     return pair_dists(X, C, r1[rr], cols, None, x2=x2, c2=c2)
 
 
+#: Rows of ``d2`` per block of a k-means++ draw (:func:`_draw`): a draw
+#: sums each block, and takes the cumulative sum only of the block its
+#: uniform falls in.
+DRAW_ROWS = 1024
+
+
+def _draw(d2: np.ndarray, total: float, u: float) -> int:
+    """The index ``rng.choice(len(d2), p=d2 / total)`` returns for its uniform ``u``.
+
+    ``rng.choice`` computes ``cdf = cumsum(p); cdf /= cdf[-1]`` and returns
+    ``cdf.searchsorted(u, side="right")``: the number of rows i with
+    ``fl(P_i / L) <= u``, where ``P`` is the sequential cumsum of
+    ``p = fl(d2 / total)`` and ``L = P[-1]``. That count depends only on
+    the ``P_i`` near ``u·L``, so it is located from sums, not from the
+    whole cumsum:
+
+    - ``Q``: the sums of ``d2`` over blocks of ``DRAW_ROWS`` rows
+      (``np.add.reduceat``), ``/ total``, prefix-summed; ``Lt = Q[-1]``
+      stands for L and ``t = fl(u·Lt)`` for ``u·L``.
+    - The block ``b`` is the first whose prefix ``Q[b]`` exceeds ``t``;
+      inside it ``Pt = Q[b-1] + cumsum(p[block])`` stands for ``P``, and
+      the row is the count of ``Pt <= t``, offset by the block's start.
+
+    *Bound.* Every compared quantity is a sum of non-negative terms, so
+    the forward error of recursive summation (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., §4.2) applies term by
+    term: with unit roundoff ``ε = 2^-53`` and ``γ_K = Kε / (1 − Kε)``,
+    each term of a sum carries at most ``K = n + DRAW_ROWS + nb + 2``
+    roundings (``nb`` blocks of at most ``DRAW_ROWS`` rows: the block sum,
+    ``/ total``, the prefix over blocks, the in-block cumsum, the final
+    add; ``P`` itself carries at most ``n - 1``). So, for
+    ``T = Σ p_i`` (``≈ 1``), ``|Pt_i − P_i|`` and ``|Lt − L|`` are each
+    at most ``2γ_K·T``, and ``|t − u·L|`` at most ``2γ_K·T + ε·Lt``. For
+    ``Kε ≤ 1/8``, ``T ≤ Lt / (1 − γ_K)`` gives ``2γ_K·T ≤ (8/3)·Kε·Lt``,
+    below ``E = (K + 1)·2^-51·Lt``; the slack left covers the roundings
+    of ``t ± 2E`` and of ``fl(P_i / L)``. Underflowed terms add at most
+    ``2^-1074`` each, far below ``E``.
+
+    *Certificate.* The row is accepted when the largest ``Pt`` at or
+    below ``t`` (or ``Q[b-1]``) is below ``t − 2E`` and the smallest above
+    it exceeds ``t + 2E``: then every ``P_i`` counted lies below ``u·L``,
+    so ``fl(P_i / L) <= u``, and every other exceeds
+    ``u·L·(1 + 2^-52)``, at least the float after ``u``, so
+    ``fl(P_i / L) > u`` (both by monotone rounding; the prefixes of
+    earlier and later blocks follow, as ``P`` is monotone). Otherwise,
+    and on a non-finite ``Lt``, the index comes from ``rng.choice``'s own
+    full cumsum (:func:`_choice_index`), so it is ``rng.choice``'s in
+    every case.
+    """
+    n = len(d2)
+    starts = np.arange(0, n, DRAW_ROWS)
+    Q = np.cumsum(np.add.reduceat(d2, starts) / total)
+    Lt = Q[-1]
+    E = (n + DRAW_ROWS + len(starts) + 3) * 2.0**-51 * Lt
+    t = u * Lt
+    b = int(Q.searchsorted(t, side="right"))
+    if np.isfinite(Lt) and b < len(starts):
+        s = starts[b]
+        lo = Q[b - 1] if b else 0.0
+        Pt = lo + np.cumsum(d2[s : s + DRAW_ROWS] / total)
+        r = int(Pt.searchsorted(t, side="right"))
+        below = Pt[r - 1] if r else lo
+        if r < len(Pt) and below < t - 2.0 * E and Pt[r] > t + 2.0 * E:
+            return int(s) + r
+    return _choice_index(d2, total, u)
+
+
+def _choice_index(d2: np.ndarray, total: float, u: float) -> int:
+    """``rng.choice(len(d2), p=d2 / total)``'s own inverse-CDF step for ``u``."""
+    cdf = np.cumsum(d2 / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
 def kmeans_pp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Standard k-means++ seeding (Arthur & Vassilvitskii), deterministic.
 
@@ -214,10 +288,21 @@ def kmeans_pp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     ``d(c_own, c_j) >= 2·d(x, c_own)`` cannot get closer to the new
     centre ``c_j``, so only the other points' squared distances are
     recomputed. A relative margin of 1e-9 absorbs rounding, and the
-    recomputed entries use the unpruned expression, so ``d2`` — and with
-    it every draw — is bit-identical to recomputing all n points.
-    Each draw is ``rng.choice(n, p=d2 / total)``'s own inverse-CDF
-    sampling on the same stream, without its validation passes over n.
+    recomputed entries use the unpruned expression, so ``d2`` is
+    bit-identical to recomputing all n points. The test compares
+    ``cc2·(1 − 1e-9)``, scaled once per step, with ``4·d2``, kept in
+    ``d2x4`` and updated at the moved points only: the operands of
+    ``cc2[own]·(1 − 1e-9) < 4·d2`` (×4 is exact), so the same comparisons.
+
+    Each draw is :func:`_draw` on ``u = rng.random()``: bit for bit
+    ``rng.choice(n, p=d2 / total)`` on the same stream. It sums ``d2``
+    over ``nb`` blocks of ``DRAW_ROWS`` rows and takes the cumsum of the
+    block ``u`` falls in only. The row is accepted when no approximate
+    prefix lies within ``2E`` of ``u·L``, where
+    ``E = (n + DRAW_ROWS + nb + 3)·2^-51·L`` bounds the forward error of
+    the sequential cumsum and of its last entry ``L`` (derived in
+    :func:`_draw`); otherwise the draw falls back to ``rng.choice``'s own
+    full cumsum.
     """
     rng = np.random.default_rng(seed)
     n = X.shape[0]
@@ -227,6 +312,7 @@ def kmeans_pp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     centers[0] = X[idx]
     diff = X - centers[0]
     d2 = np.einsum("ij,ij->i", diff, diff)
+    d2x4 = 4.0 * d2
     own = np.zeros(n, dtype=np.int64)
     for j in range(1, k):
         total = d2.sum()
@@ -235,18 +321,19 @@ def kmeans_pp_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
         if total <= 0:
             centers[j:] = X[rng.integers(n, size=k - j)]
             break
-        cdf = np.cumsum(d2 / total)
-        cdf /= cdf[-1]
-        idx = int(cdf.searchsorted(rng.random(), side="right"))
-        centers[j] = X[idx]
+        centers[j] = X[_draw(d2, total, rng.random())]
         dc = centers[:j] - centers[j]
         cc2 = np.einsum("ij,ij->i", dc, dc)
-        cand = np.flatnonzero(cc2[own] * (1.0 - 1e-9) < 4.0 * d2)
-        diff = np.take(X, cand, axis=0) - centers[j]
+        cc2 *= 1.0 - 1e-9
+        cand = np.flatnonzero(cc2[own] < d2x4)
+        diff = np.take(X, cand, axis=0).astype(np.float64, copy=False)
+        diff -= centers[j]
         nd2 = np.einsum("ij,ij->i", diff, diff)
         closer = nd2 < d2[cand]
-        d2[cand[closer]] = nd2[closer]
-        own[cand[closer]] = j
+        moved, nd2 = cand[closer], nd2[closer]
+        d2[moved] = nd2
+        d2x4[moved] = 4.0 * nd2
+        own[moved] = j
     return centers
 
 
@@ -259,5 +346,6 @@ def random_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 def sse(X: np.ndarray, C: np.ndarray, assign: np.ndarray) -> float:
     """Sum of squared errors of an assignment (Equation 1)."""
-    diff = X - np.take(C, assign, axis=0)
+    diff = np.take(C, assign, axis=0).astype(np.result_type(C, X), copy=False)
+    diff -= X  # fl(c − x) = −fl(x − c): the squares are those of X − C[assign]
     return float(np.einsum("ij,ij->", diff, diff))

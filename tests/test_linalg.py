@@ -286,6 +286,20 @@ def test_sse_matches_manual():
     assert np.isclose(sse(X, C, a), 2.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 57])
+@pytest.mark.parametrize("n", [1, 300])
+def test_sse_equals_x_minus_assigned_centre(d, n):
+    """``sse`` subtracts X from the gathered centres; fl(c − x) = −fl(x − c),
+    so the sum is that of ``X − C[assign]``, bit for bit, with clusters
+    no point is assigned to."""
+    rng = np.random.default_rng(d + n)
+    X = rng.normal(scale=50.0, size=(n, d)) + 1e3
+    C = rng.normal(scale=50.0, size=(12, d)) + 1e3
+    assign = rng.choice([0, 3, 4, 11], size=n)
+    diff = X - C[assign]
+    assert sse(X, C, assign) == float(np.einsum("ij,ij->", diff, diff))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(2, 30),
