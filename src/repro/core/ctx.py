@@ -63,18 +63,17 @@ def _block_decompose(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, resid
 
 
-def group_centers(C: np.ndarray, t: int, seed: int = 0, iters: int = 5) -> np.ndarray:
-    """Group k centroids into t groups with a few small k-means passes.
+def group_centers(C: np.ndarray, t: int) -> np.ndarray:
+    """Group k centroids into t groups with five small k-means passes.
 
-    Used by Yinyang (first iteration only) and Regroup (every iteration);
-    ``make_ctx`` calls it with the default ``iters`` for both.
+    Used by Yinyang (first iteration only) and Regroup (every iteration).
     """
     k = C.shape[0]
     t = max(1, min(t, k))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     seeds = C[rng.choice(k, size=t, replace=False)]
     assign = np.zeros(k, dtype=np.int64)
-    for _ in range(max(1, iters)):
+    for _ in range(5):
         d = full_dists(C, seeds)
         assign = d.argmin(1)
         for g in range(t):

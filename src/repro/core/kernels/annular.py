@@ -32,7 +32,7 @@ class AnnularKernel(HamerlyKernel):
         return st
 
     def assign(self, X, st, ctx, counters: Counters) -> None:
-        if ctx.iter_idx == 0 or st["a"][0] < 0:
+        if ctx.iter_idx == 0:
             a, d1, d2, a2 = scan_dists(X, ctx.centers, top2, counters, st["x2"], ctx.c2)
             st["a"], st["ub"], st["lb"] = a, d1, d2
             st["sec"], st["sec_id"] = d2.copy(), a2

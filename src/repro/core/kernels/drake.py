@@ -50,7 +50,7 @@ class DrakeKernel(Kernel):
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         n, k = X.shape[0], ctx.k
         b = self._b(k)
-        if ctx.iter_idx == 0 or st["bnd"] is None:
+        if ctx.iter_idx == 0:
             st["bnd_ids"] = np.zeros((n, b), dtype=np.int64)
             st["bnd"] = np.zeros((n, b))
             D = full_dists(X, ctx.centers, counters, st["x2"], ctx.c2)

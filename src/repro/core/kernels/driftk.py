@@ -25,11 +25,9 @@ from .elkan import ElkanKernel
 @register("drift")
 class DriftKernel(ElkanKernel):
     needs = frozenset({"cc", "s", "c2", "ccprev"})
-    wants_ub_prev = True
 
     def _extra_lb(self, X, st, ctx, counters) -> None:
-        ub_prev = st.pop("_ub_prev")
-        a, lb = st["a"], st["lb"]
+        a, lb, ub_prev = st["a"], st["lb"], st["ub"]
         alt = np.take(ctx.ccprev, a, axis=0) - ub_prev[:, None]
         np.maximum(lb, alt, out=lb)
         counters.bound_update += lb.size

@@ -20,7 +20,6 @@ from .base import Kernel, group_layout, group_min, nearer, register, segment_min
 @register("elka")
 class ElkanKernel(Kernel):
     needs = frozenset({"cc", "s", "c2"})
-    wants_ub_prev = False
     use_groups = False
 
     def init_state(self, X: np.ndarray) -> dict:
@@ -36,17 +35,15 @@ class ElkanKernel(Kernel):
         counters.bound_update += D.size + len(a)
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
-        if ctx.iter_idx == 0 or st["lb"] is None:
+        if ctx.iter_idx == 0:
             self._first(X, st, ctx, counters)
             return
         n, k = X.shape[0], ctx.k
         a, ub, lb = st["a"], st["ub"], st["lb"]
-        if self.wants_ub_prev:
-            st["_ub_prev"] = ub.copy()
         lb -= ctx.delta[None, :]
+        self._extra_lb(X, st, ctx, counters)  # reads the pre-drift ub
         ub += ctx.delta[a]
         counters.bound_update += n * k + n
-        self._extra_lb(X, st, ctx, counters)
         if self.use_groups:
             # Full: group bounds derived as group-minima of the lb matrix
             # add a Yinyang-style global/group filter on top of Elkan's.
@@ -95,7 +92,12 @@ class ElkanKernel(Kernel):
         counters.bound_update += 2 * int(upd.sum())
 
     def _extra_lb(self, X, st, ctx, counters) -> None:
-        """Hook for Drift's tighter geometric lower bound (no-op here)."""
+        """Hook for Drift's tighter geometric lower bound (no-op here).
+
+        Runs after ``lb`` has drifted and before ``ub`` has, so
+        ``st["ub"]`` still bounds each point's distance to its previous
+        centroid.
+        """
 
     def _prefilter_pairs(self, X, st, ctx, counters, r1, d_a, rr, cols):
         """Hook for Vector's block-vector pre-check (no-op here)."""

@@ -36,7 +36,7 @@ class HeapKernel(Kernel):
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         n, k = X.shape[0], ctx.k
-        if ctx.iter_idx == 0 or st["off"] is None:
+        if ctx.iter_idx == 0:
             st["off"] = np.zeros(k)
             a, d1, d2, _ = scan_dists(X, ctx.centers, top2, counters, st["x2"], ctx.c2)
             st["a"] = a

@@ -130,16 +130,14 @@ class IndexKernel(Kernel):
 
     needs = frozenset({"c2"})
 
-    def __init__(self, index: str = "balltree", capacity: int = 30, seed: int = 0):
+    def __init__(self, index: str = "balltree"):
         if index not in BALL_INDEXES:
             raise KeyError(f"unknown ball index {index!r}")
         self.index = index
-        self.capacity = capacity
-        self.seed = seed
 
     def init_state(self, X: np.ndarray) -> dict:
         st = super().init_state(X)
-        st["tree"] = BALL_INDEXES[self.index](X, capacity=self.capacity, seed=self.seed)
+        st["tree"] = BALL_INDEXES[self.index](X)
         return st
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
@@ -154,12 +152,9 @@ class KDIndexKernel(Kernel):
 
     needs = frozenset({"c2"})
 
-    def __init__(self, capacity: int = 1):
-        self.capacity = capacity
-
     def init_state(self, X: np.ndarray) -> dict:
         st = super().init_state(X)
-        st["kt"] = build_kdtree(X, capacity=self.capacity)
+        st["kt"] = build_kdtree(X)
         return st
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:

@@ -24,7 +24,7 @@ class Pami20Kernel(Kernel):
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         n, k = X.shape[0], ctx.k
         a = st["a"]
-        if ctx.iter_idx == 0 or a[0] < 0:
+        if ctx.iter_idx == 0:
             st["a"] = scan_dists(X, ctx.centers, argmin, counters, st["x2"], ctx.c2)
             return
         d_a = pair_dists(X, ctx.centers, np.arange(n), a, counters, x2=st["x2"], c2=ctx.c2)

@@ -22,12 +22,9 @@ from .base import Kernel, register
 class SearchKernel(Kernel):
     needs = frozenset({"s", "c2"})
 
-    def __init__(self, capacity: int = 30):
-        self.capacity = capacity
-
     def init_state(self, X: np.ndarray) -> dict:
         st = super().init_state(X)
-        st["tree"] = build_balltree(X, capacity=self.capacity)
+        st["tree"] = build_balltree(X)
         return st
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:

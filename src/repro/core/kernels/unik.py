@@ -52,19 +52,16 @@ def _hamerly_points(X, idx, st, ctx, counters: Counters) -> None:
 class UniKKernel(Kernel):
     needs = frozenset({"cc", "s", "c2"})
 
-    def __init__(self, index: str = "balltree", capacity: int = 30, seed: int = 0,
-                 traversal: str = "adaptive"):
+    def __init__(self, index: str = "balltree", traversal: str = "adaptive"):
         if index not in BALL_INDEXES:
             raise KeyError(f"unknown ball index {index!r}")
         if traversal not in ("adaptive", "index-single", "index-multiple"):
             raise ValueError(traversal)
         self.index = index
-        self.capacity = capacity
-        self.seed = seed
         self.traversal = traversal
 
     def init_state(self, X: np.ndarray) -> dict:
-        tree = BALL_INDEXES[self.index](X, capacity=self.capacity, seed=self.seed)
+        tree = BALL_INDEXES[self.index](X)
         m = tree.n_nodes
         n = X.shape[0]
         return {
@@ -191,29 +188,33 @@ class UniKKernel(Kernel):
 
     # -- passes ------------------------------------------------------------
 
-    def _root_pass(self, X, st, ctx, counters: Counters) -> None:
-        # Points dissolved in *earlier* iterations go through the bound
-        # cascade; points dissolving during this pass get exact bounds.
-        pts_prev = np.where(st["pt_mask"])[0]
-        self._decay_slacks(st, ctx, counters)
-        self._descend(X, st, ctx, counters, np.zeros(1, dtype=np.int64),
-                      np.ones((1, ctx.k), dtype=bool), np.full(1, np.inf))
-        _hamerly_points(X, pts_prev, st, ctx, counters)
+    def _mode(self, st, t: int) -> str:
+        """The pass iteration ``t`` runs: "root" (index-multiple) or "flat"
+        (index-single); adaptive keeps the one with less work (cost-model
+        units) in iterations 0 and 1 from iteration 2 on (§5.3)."""
+        if t == 0 or self.traversal == "index-multiple":
+            return "root"
+        if t == 1 or self.traversal == "index-single":
+            return "flat"
+        if st["mode"] is None:
+            st["mode"] = "root" if st["t_root"] <= st["t_flat"] else "flat"
+        return st["mode"]
 
-    def _flat_pass(self, X, st, ctx, counters: Counters) -> None:
-        """Cluster-object scan: re-validate cached nodes without traversal."""
-        pts_prev = np.where(st["pt_mask"])[0]
-        self._decay_slacks(st, ctx, counters)
+    def _cached_rows(self, st, ctx, counters: Counters):
+        """The flat pass's (node, mask, excl) rows: cached nodes to re-validate.
+
+        An active node whose slack ran out, or a frontier leaf, restarts
+        from an Exponion-style candidate ball around its cached centroid
+        (Eq. 6 applied to pivots): for any point under node i with
+        d(x, c_b) ≤ node_ub, the true nearest c* has cc(b, c*) ≤ 2·ub;
+        every excluded centroid is ≥ cc(b, j) − ub away from any such x.
+        Every active or frontier node has a cached centroid.
+        """
         failed = np.where(
             (st["node_active"] & (st["node_slack"] <= 0)) | st["frontier"]
         )[0]
         counters.node_access += int(st["node_active"].sum())
         st["node_active"][failed] = False
-        # Exponion-style candidate ball around the node's cached centroid
-        # (Eq. 6 applied to pivots): for any point under node i with
-        # d(x, c_b) ≤ node_ub, the true nearest c* has cc(b, c*) ≤ 2·ub;
-        # every excluded centroid is ≥ cc(b, j) − ub away from any such x.
-        # Every active or frontier node has a cached centroid.
         b = st["node_assigned"][failed]
         ubn = st["node_ub"][failed]
         ccb = np.take(ctx.cc, b, axis=0)
@@ -221,32 +222,25 @@ class UniKKernel(Kernel):
         ball[np.arange(len(failed)), b] = True
         excl = np.where(ball, np.inf, ccb).min(1) - ubn
         counters.bound_access += ctx.k * len(failed)
-        self._descend(X, st, ctx, counters, failed, ball, excl)
-        _hamerly_points(X, pts_prev, st, ctx, counters)
+        return failed, ball, excl
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
-        # The adaptive switch compares the *work* (cost-model units) of
-        # the root traversal (iteration 0) vs the flat cluster-object
-        # scan (iteration 1) — §5.3's index-multiple vs index-single.
+        t = ctx.iter_idx
+        mode = self._mode(st, t)
         d = X.shape[1]
         w0 = counters.work_units(d)
-        if ctx.iter_idx == 0:
-            self._root_pass(X, st, ctx, counters)
-            st["t_root"] = counters.work_units(d) - w0
-            return
-        if self.traversal == "index-multiple":
-            self._root_pass(X, st, ctx, counters)
-            return
-        if self.traversal == "index-single":
-            self._flat_pass(X, st, ctx, counters)
-            return
-        if ctx.iter_idx == 1:
-            self._flat_pass(X, st, ctx, counters)
-            st["t_flat"] = counters.work_units(d) - w0
-            return
-        if st["mode"] is None:
-            st["mode"] = "root" if st["t_root"] <= st["t_flat"] else "flat"
-        if st["mode"] == "root":
-            self._root_pass(X, st, ctx, counters)
+        # Points dissolved in *earlier* iterations go through the bound
+        # cascade; points dissolving during this pass get exact bounds.
+        pts_prev = np.where(st["pt_mask"])[0]
+        self._decay_slacks(st, ctx, counters)
+        if mode == "root":
+            rows = (np.zeros(1, dtype=np.int64), np.ones((1, ctx.k), dtype=bool),
+                    np.full(1, np.inf))
         else:
-            self._flat_pass(X, st, ctx, counters)
+            rows = self._cached_rows(st, ctx, counters)
+        self._descend(X, st, ctx, counters, *rows)
+        _hamerly_points(X, pts_prev, st, ctx, counters)
+        if t == 0:
+            st["t_root"] = counters.work_units(d) - w0
+        elif t == 1 and self.traversal == "adaptive":
+            st["t_flat"] = counters.work_units(d) - w0

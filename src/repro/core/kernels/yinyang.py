@@ -54,7 +54,7 @@ class _YinyangBase(Kernel):
         counters.bound_update += st["lbg"].size + len(a)
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
-        if ctx.iter_idx == 0 or st["lbg"] is None:
+        if ctx.iter_idx == 0:
             self._first(X, st, ctx, counters)
             return
         n, k, t = X.shape[0], ctx.k, ctx.n_groups

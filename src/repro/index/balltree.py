@@ -14,7 +14,7 @@ from .base import ArrayTree, build_tree, median_cut, sq_rows
 DEFAULT_CAPACITY = 30
 
 
-def build_balltree(X: np.ndarray, capacity: int = DEFAULT_CAPACITY, seed: int = 0) -> ArrayTree:
+def build_balltree(X: np.ndarray, capacity: int = DEFAULT_CAPACITY) -> ArrayTree:
     X = np.ascontiguousarray(X, dtype=np.float64)
     return build_tree(X, _split, capacity)
 

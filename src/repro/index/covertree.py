@@ -17,9 +17,9 @@ from .base import ArrayTree, build_tree, per_node
 from .balltree import DEFAULT_CAPACITY
 
 
-def build_covertree(X: np.ndarray, capacity: int = DEFAULT_CAPACITY, seed: int = 0) -> ArrayTree:
+def build_covertree(X: np.ndarray, capacity: int = DEFAULT_CAPACITY) -> ArrayTree:
     X = np.ascontiguousarray(X, dtype=np.float64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     def rule(pts: np.ndarray, d2: np.ndarray):
         r = float(np.sqrt(d2.max()))

@@ -1,6 +1,7 @@
 """Hierarchical k-means tree (Fukunaga & Narendra, §3.1).
 
-Nodes are split by a short 2-means on the node's points; nodes are balls
+Nodes are split by a short 2-means on the node's points (three Lloyd
+passes from two random points of the node); nodes are balls
 (pivot = mean, radius = max distance), so the ball-based batch
 assignment used for Ball-tree applies unchanged.
 """
@@ -12,21 +13,15 @@ from .base import ArrayTree, build_tree, per_node
 from .balltree import DEFAULT_CAPACITY
 
 
-def build_hkt(
-    X: np.ndarray,
-    capacity: int = DEFAULT_CAPACITY,
-    seed: int = 0,
-    branch: int = 2,
-    iters: int = 3,
-) -> ArrayTree:
+def build_hkt(X: np.ndarray, capacity: int = DEFAULT_CAPACITY) -> ArrayTree:
     X = np.ascontiguousarray(X, dtype=np.float64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     def rule(pts: np.ndarray, d2: np.ndarray):
-        b = min(branch, len(pts))
+        b = min(2, len(pts))
         seeds = pts[rng.choice(len(pts), size=b, replace=False)]
         assign = np.zeros(len(pts), dtype=np.int64)
-        for _ in range(iters):
+        for _ in range(3):
             d2 = (
                 np.einsum("ij,ij->i", pts, pts)[:, None]
                 + np.einsum("ij,ij->i", seeds, seeds)[None, :]

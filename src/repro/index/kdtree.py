@@ -31,10 +31,12 @@ def build_kdtree(X: np.ndarray, capacity: int = 1) -> KDTree:
     # one segmented min/max over the permuted points: reduceat over the
     # interleaved bounds [lo0, hi0, lo1, hi1, ...] reduces each [lo, hi)
     # at the even positions (a sentinel row keeps hi = n a valid index).
+    # The boxes are stored C-contiguous: ``np.take`` on a strided view
+    # copies the whole array before each gather.
     Xp = np.take(X, np.append(tree.perm, tree.perm[:1]), axis=0)
     bounds = np.column_stack([tree.pt_start, tree.pt_end]).ravel()
-    bb_min = np.minimum.reduceat(Xp, bounds)[::2]
-    bb_max = np.maximum.reduceat(Xp, bounds)[::2]
+    bb_min = np.ascontiguousarray(np.minimum.reduceat(Xp, bounds)[::2])
+    bb_max = np.ascontiguousarray(np.maximum.reduceat(Xp, bounds)[::2])
     return KDTree(tree=tree, bb_min=bb_min, bb_max=bb_max)
 
 

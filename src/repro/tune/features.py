@@ -26,17 +26,13 @@ LEAF = slice(0, 14)
 FEATURE_SETS = {"basic": BASIC, "tree": TREE, "leaf": LEAF}
 
 
-def extract_features(
-    X: np.ndarray,
-    k: int,
-    tree: ArrayTree | None = None,
-    capacity: int = DEFAULT_CAPACITY,
-) -> np.ndarray:
-    """Full 14-dim feature vector for a clustering task (dataset, k)."""
+def extract_features(X: np.ndarray, k: int, tree: ArrayTree | None = None) -> np.ndarray:
+    """Full 14-dim feature vector for a clustering task (dataset, k), from
+    ``tree`` if the caller has already built ``build_balltree(X)``."""
     n, d = X.shape
     if tree is None:
-        tree = build_balltree(X, capacity=capacity)
-    f = float(capacity)
+        tree = build_balltree(X)
+    f = float(DEFAULT_CAPACITY)
     leaf_mask = tree.leaf_mask()
     leaves = np.where(leaf_mask)[0]
     norm_h = max(1.0, np.log2(max(2.0, n / f)))

@@ -24,7 +24,6 @@ import numpy as np
 
 from ..core.kernels import SEQUENTIAL, make_kernel
 from ..core.runner import LocalRunner
-from ..index.balltree import build_balltree
 from .features import FEATURE_SETS, extract_features
 from .models import BDT, MODEL_FACTORIES
 
@@ -66,8 +65,7 @@ def run_task(
     """Measure one clustering task and build its g1/g2 rankings."""
     t_start = time.perf_counter()
     iters = n_iters if n_iters is not None else (5 if selective else 10)
-    tree = build_balltree(X)
-    feats = extract_features(X, k, tree=tree)
+    feats = extract_features(X, k)
     rec = TaskRecord(dataset=dataset, n=X.shape[0], k=k, d=X.shape[1], features=feats)
     runner = LocalRunner()
     pool = BOUND_POOL_SELECTIVE if selective else BOUND_POOL_FULL

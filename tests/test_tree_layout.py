@@ -1,13 +1,16 @@
 """Pre-order tree layout, and the UniK node-state invariant that makes a
 frontier-at-once traversal equal to a node-at-a-time DFS."""
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
 from repro.core.kernels import make_kernel
 from repro.core.kernels.unik import UniKKernel
 from repro.core.runner import LocalRunner
-from repro.index import BALL_INDEXES, build_kdtree
+from repro.index import BALL_INDEXES, build_balltree, build_kdtree
 from repro.synth_data import gaussian_mixture
+from repro.tune.features import extract_features
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +62,36 @@ def test_kdtree_boxes_are_tight(X):
         pts = X[kt.tree._covered(i)]
         assert (kt.bb_min[i] == pts.min(0)).all()
         assert (kt.bb_max[i] == pts.max(0)).all()
+
+
+def _arrays(obj):
+    """(name, array) for every ndarray field of a tree, nested trees included."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if is_dataclass(v):
+            yield from _arrays(v)
+        elif isinstance(v, np.ndarray):
+            yield f.name, v
+
+
+@pytest.mark.parametrize("name,build", [*BALL_INDEXES.items(), ("kdtree", build_kdtree)])
+def test_tree_arrays_are_c_contiguous(X, name, build):
+    # np.take copies a strided source whole before every gather.
+    arrays = dict(_arrays(build(X)))
+    assert name != "kdtree" or {"bb_min", "bb_max"} <= arrays.keys()
+    assert [f for f, v in arrays.items() if not v.flags.c_contiguous] == []
+
+
+def test_one_ball_tree(X):
+    """INDE, UniK, Search and the UTune features share one Ball-tree."""
+    ref = dict(_arrays(build_balltree(X)))
+    for method in ("index", "unik", "search"):
+        tree = dict(_arrays(make_kernel(method).init_state(X)["tree"]))
+        assert tree.keys() == ref.keys()
+        for f, v in ref.items():
+            np.testing.assert_array_equal(tree[f], v, err_msg=f"{method}.{f}")
+    np.testing.assert_array_equal(extract_features(X, 7),
+                                  extract_features(X, 7, tree=build_balltree(X)))
 
 
 def _antichain(st) -> bool:
