@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..index.balltree import DEFAULT_CAPACITY, build_balltree
-from ..index.base import ArrayTree
 
 FEATURE_NAMES = [
     "n", "k", "d",                              # basic
@@ -26,12 +25,11 @@ LEAF = slice(0, 14)
 FEATURE_SETS = {"basic": BASIC, "tree": TREE, "leaf": LEAF}
 
 
-def extract_features(X: np.ndarray, k: int, tree: ArrayTree | None = None) -> np.ndarray:
+def extract_features(X: np.ndarray, k: int) -> np.ndarray:
     """Full 14-dim feature vector for a clustering task (dataset, k), from
-    ``tree`` if the caller has already built ``build_balltree(X)``."""
+    ``build_balltree(X)``."""
     n, d = X.shape
-    if tree is None:
-        tree = build_balltree(X)
+    tree = build_balltree(X)
     f = float(DEFAULT_CAPACITY)
     leaf_mask = tree.leaf_mask()
     leaves = np.where(leaf_mask)[0]

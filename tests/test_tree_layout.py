@@ -10,7 +10,6 @@ from repro.core.kernels.unik import UniKKernel
 from repro.core.runner import LocalRunner
 from repro.index import BALL_INDEXES, build_balltree, build_kdtree
 from repro.synth_data import gaussian_mixture
-from repro.tune.features import extract_features
 
 
 @pytest.fixture(scope="module")
@@ -82,16 +81,15 @@ def test_tree_arrays_are_c_contiguous(X, name, build):
     assert [f for f, v in arrays.items() if not v.flags.c_contiguous] == []
 
 
-def test_one_ball_tree(X):
-    """INDE, UniK, Search and the UTune features share one Ball-tree."""
+@pytest.mark.parametrize("method", ["index", "unik", "search"])
+def test_one_ball_tree(X, method):
+    """The tree a kernel builds is build_balltree(X), array for array: a
+    build-once ``prepare`` may then hand every such kernel the same tree."""
     ref = dict(_arrays(build_balltree(X)))
-    for method in ("index", "unik", "search"):
-        tree = dict(_arrays(make_kernel(method).init_state(X)["tree"]))
-        assert tree.keys() == ref.keys()
-        for f, v in ref.items():
-            np.testing.assert_array_equal(tree[f], v, err_msg=f"{method}.{f}")
-    np.testing.assert_array_equal(extract_features(X, 7),
-                                  extract_features(X, 7, tree=build_balltree(X)))
+    tree = dict(_arrays(make_kernel(method).init_state(X)["tree"]))
+    assert tree.keys() == ref.keys()
+    for f, v in ref.items():
+        np.testing.assert_array_equal(tree[f], v, err_msg=f"{method}.{f}")
 
 
 def _antichain(st) -> bool:
