@@ -1,7 +1,7 @@
 """Per-iteration driver-side precompute shared by all partitions.
 
 Each iteration the runner builds one ``IterCtx`` from the current and
-previous centroids and broadcasts it. Every ctx carries the centroids
+previous centroids and ships it to every block. Every ctx carries the centroids
 and their drifts; every other field (squared centroid norms, the k×k
 centroid distance matrix and s(j), sorted neighbour lists, norm order,
 Yinyang groups, block sums, previous-to-current distances) is computed

@@ -27,15 +27,13 @@ class AnnularKernel(HamerlyKernel):
     def init_state(self, X: np.ndarray) -> dict:
         st = super().init_state(X)
         st["xnorm"] = np.sqrt(st["x2"])
-        st["sec"] = np.zeros(X.shape[0])             # upper bound on 2nd distance
-        st["sec_id"] = np.zeros(X.shape[0], dtype=np.int64)
         return st
 
     def assign(self, X, st, ctx, counters: Counters) -> None:
         if ctx.iter_idx == 0:
             a, d1, d2, a2 = scan_dists(X, ctx.centers, top2, counters, st["x2"], ctx.c2)
             st["a"], st["ub"], st["lb"] = a, d1, d2
-            st["sec"], st["sec_id"] = d2.copy(), a2
+            st["sec"], st["sec_id"] = d2.copy(), a2  # upper bound on 2nd distance
             counters.bound_update += 3 * len(a)
             return
         # The stored second-nearest upper bound drifts with its centroid.

@@ -8,18 +8,20 @@ arrive in an :class:`~repro.core.ctx.IterCtx` built driver-side.
 Contract:
 
 * ``needs`` — the IterCtx fields the kernel reads, and only those (see
-  ``ctx.make_ctx``): the driver builds, broadcasts and charges nothing
+  ``ctx.make_ctx``): the driver builds, ships and charges nothing
   else.
 * ``fixed_groups`` — Yinyang-style kernels that freeze centroid groups
   after the first iteration set this; the runner then reuses iteration
   0's grouping for every subsequent ctx.
-* ``init_state(X)`` — allocate per-partition state. The base state is
+* ``init_state(X)`` — the per-partition state that X alone determines:
   ``a`` (int64, −1 = unassigned) and ``x2``, the points' squared norms,
-  which every full scan and pair distance reads; kernels extend it
-  through ``super().init_state(X)``.
+  which every full scan and pair distance reads, plus what a kernel
+  derives from X (a tree, Annular's point norms, Vector's block sums)
+  through ``super().init_state(X)``. The iteration-0 ``assign`` rebinds
+  ``a`` and leaves every other entry as it is.
 * ``assign(X, st, ctx, counters)`` — run one assignment step in place.
   When ``ctx.iter_idx == 0`` the kernel performs its initial full
-  assignment and bound setup.
+  assignment and creates its bounds, lists and caches in ``st``.
 * ``footprint(st)`` — the Figure-10 auxiliary space: every array and
   tree in ``st`` except ``a``. Kernels do not override it.
 

@@ -22,14 +22,6 @@ from .base import Kernel, register
 class DrakeKernel(Kernel):
     needs = frozenset({"c2"})
 
-    def init_state(self, X: np.ndarray) -> dict:
-        st = super().init_state(X)
-        st["ub"] = np.zeros(X.shape[0])
-        st["bnd_ids"] = None   # n×b stored centroid ids (ascending distance)
-        st["bnd"] = None       # n×b lower bounds for those centroids
-        st["lb_rest"] = np.zeros(X.shape[0])
-        return st
-
     @staticmethod
     def _b(k: int) -> int:
         return min(k - 1, max(1, int(np.ceil(k / 4))))
@@ -51,8 +43,10 @@ class DrakeKernel(Kernel):
         n, k = X.shape[0], ctx.k
         b = self._b(k)
         if ctx.iter_idx == 0:
-            st["bnd_ids"] = np.zeros((n, b), dtype=np.int64)
-            st["bnd"] = np.zeros((n, b))
+            st["ub"] = np.zeros(n)
+            st["bnd_ids"] = np.zeros((n, b), dtype=np.int64)  # stored centroid ids
+            st["bnd"] = np.zeros((n, b))      # lower bounds for those centroids
+            st["lb_rest"] = np.zeros(n)       # bound for every centroid not stored
             D = full_dists(X, ctx.centers, counters, st["x2"], ctx.c2)
             self._store_from_full(D, st, np.arange(n), counters)
             return

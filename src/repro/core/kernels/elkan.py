@@ -22,12 +22,6 @@ class ElkanKernel(Kernel):
     needs = frozenset({"cc", "s", "c2"})
     use_groups = False
 
-    def init_state(self, X: np.ndarray) -> dict:
-        st = super().init_state(X)
-        st["ub"] = np.zeros(X.shape[0])
-        st["lb"] = None  # n×k, allocated on first assign (k unknown here)
-        return st
-
     def _first(self, X, st, ctx, counters):
         D = full_dists(X, ctx.centers, counters, st["x2"], ctx.c2)
         a, d1, _, _ = top2(D)

@@ -20,12 +20,6 @@ from .base import Kernel, register, top2
 class HamerlyKernel(Kernel):
     needs = frozenset({"s", "c2"})
 
-    def init_state(self, X: np.ndarray) -> dict:
-        st = super().init_state(X)
-        st["ub"] = np.zeros(X.shape[0])
-        st["lb"] = np.zeros(X.shape[0])
-        return st
-
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         if ctx.iter_idx == 0:
             a, d1, d2, _ = scan_dists(X, ctx.centers, top2, counters, st["x2"], ctx.c2)

@@ -27,21 +27,14 @@ from .base import Kernel, register, top2
 class HeapKernel(Kernel):
     needs = frozenset({"c2"})
 
-    def init_state(self, X: np.ndarray) -> dict:
-        st = super().init_state(X)
-        st["lu"] = np.zeros(X.shape[0])        # gap lb − ub at last evaluation
-        st["off_ref"] = np.zeros(X.shape[0])   # cluster offset at last evaluation
-        st["off"] = None                       # (k,) cumulative per-cluster decrement
-        return st
-
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         n, k = X.shape[0], ctx.k
         if ctx.iter_idx == 0:
-            st["off"] = np.zeros(k)
+            st["off"] = np.zeros(k)           # cumulative per-cluster decrement
             a, d1, d2, _ = scan_dists(X, ctx.centers, top2, counters, st["x2"], ctx.c2)
             st["a"] = a
-            st["lu"] = d2 - d1
-            st["off_ref"] = np.zeros(n)
+            st["lu"] = d2 - d1                # gap lb − ub at last evaluation
+            st["off_ref"] = np.zeros(n)       # cluster offset at last evaluation
             counters.bound_update += n
             return
         a, lu, off_ref, off = st["a"], st["lu"], st["off_ref"], st["off"]

@@ -61,25 +61,9 @@ class UniKKernel(Kernel):
         self.traversal = traversal
 
     def init_state(self, X: np.ndarray) -> dict:
-        tree = BALL_INDEXES[self.index](X)
-        m = tree.n_nodes
-        n = X.shape[0]
-        return {
-            **super().init_state(X),
-            "tree": tree,
-            "node_active": np.zeros(m, dtype=bool),    # batch-assigned subtree roots
-            "node_assigned": np.full(m, -1, dtype=np.int64),
-            "node_slack": np.zeros(m),                 # remaining Eq-10 slack
-            "node_ub": np.zeros(m),                    # d(p, c_b) + r, drift-decayed
-            "frontier": np.zeros(m, dtype=bool),       # leaves re-evaluated per iter
-            "dissolved": np.zeros(m, dtype=bool),      # leaf handed to point bounds
-            "pt_mask": np.zeros(n, dtype=bool),        # individually-tracked points
-            "ub": np.zeros(n),
-            "lb": np.zeros(n),
-            "mode": None,
-            "t_root": None,
-            "t_flat": None,
-        }
+        st = super().init_state(X)
+        st["tree"] = BALL_INDEXES[self.index](X)
+        return st
 
     # -- node evaluation --------------------------------------------------
 
@@ -226,6 +210,22 @@ class UniKKernel(Kernel):
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:
         t = ctx.iter_idx
+        if t == 0:  # the node caches and point bounds start empty
+            m, n = st["tree"].n_nodes, X.shape[0]
+            st.update(
+                node_active=np.zeros(m, dtype=bool),    # batch-assigned subtree roots
+                node_assigned=np.full(m, -1, dtype=np.int64),
+                node_slack=np.zeros(m),                 # remaining Eq-10 slack
+                node_ub=np.zeros(m),                    # d(p, c_b) + r, drift-decayed
+                frontier=np.zeros(m, dtype=bool),       # leaves re-evaluated per iter
+                dissolved=np.zeros(m, dtype=bool),      # leaf handed to point bounds
+                pt_mask=np.zeros(n, dtype=bool),        # individually-tracked points
+                ub=np.zeros(n),
+                lb=np.zeros(n),
+                mode=None,
+                t_root=None,
+                t_flat=None,
+            )
         mode = self._mode(st, t)
         d = X.shape[1]
         w0 = counters.work_units(d)

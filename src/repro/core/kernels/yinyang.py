@@ -34,13 +34,6 @@ from .base import Kernel, group_layout, group_min, nearer, register, segment_min
 class _YinyangBase(Kernel):
     needs = frozenset({"c2", "groups"})
 
-    def init_state(self, X: np.ndarray) -> dict:
-        st = super().init_state(X)
-        st["ub"] = np.zeros(X.shape[0])
-        st["lbg"] = None
-        st["groups"] = None  # grouping the stored lbg refers to
-        return st
-
     def _first(self, X, st, ctx, counters):
         D = full_dists(X, ctx.centers, counters, st["x2"], ctx.c2)
         rows = np.arange(len(X))
@@ -50,7 +43,7 @@ class _YinyangBase(Kernel):
         order, _, count, _ = group_layout(ctx.groups, ctx.n_groups)
         st["lbg"] = group_min(D, order, count)
         st["a"], st["ub"] = a, d1
-        st["groups"] = ctx.groups.copy()
+        st["groups"] = ctx.groups.copy()  # grouping the stored lbg refers to
         counters.bound_update += st["lbg"].size + len(a)
 
     def assign(self, X: np.ndarray, st: dict, ctx: IterCtx, counters: Counters) -> None:

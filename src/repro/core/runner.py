@@ -266,8 +266,6 @@ class SparkRunner:
     ) -> RunResult:
         sc = self.spark.sparkContext
         p = min(self.n_partitions, len(X))  # kernels need non-empty blocks
-        kernel_bc = sc.broadcast(kernel)
-        bcs = [kernel_bc]
         # One accumulator per run: PySpark never drops one from its registry.
         parts = sc.accumulator({}, _ByPartition())
         blocks = out = None
@@ -284,12 +282,12 @@ class SparkRunner:
 
         def step(ctx):
             nonlocal blocks, out
-            ctx_bc = sc.broadcast(ctx)
-            bcs.append(ctx_bc)
+            # kernel and ctx travel in the task closure; DESIGN.md §2 says
+            # how PySpark ships one over 1 MB and what that leaves behind.
             def step_partition(i, it):
                 skip_unchanged_zip_rereads()
                 for b in it:
-                    parts.add({i: _block_step(b, kernel_bc.value, ctx_bc.value)})
+                    parts.add({i: _block_step(b, kernel, ctx)})
                     yield b
             out = blocks.mapPartitionsWithIndex(step_partition).cache()
             # Truncate lineage so closure size stays O(1) in the iteration count.
@@ -300,8 +298,6 @@ class SparkRunner:
             out._jrdd.count()
             blocks.unpersist()
             blocks = out
-            # unpersist, not destroy: the cached ``out``'s function references it.
-            ctx_bc.unpersist()
             got, parts.value = parts.value, {}
             if sorted(got) != list(range(p)):
                 raise RuntimeError(f"partials came from partitions {sorted(got)}, not 0..{p - 1}")
@@ -310,9 +306,7 @@ class SparkRunner:
         try:
             return _drive(X, k, kernel, n_iters, seed, init, centers0, start)
         finally:
-            for rdd in (blocks, out):  # out is not blocks only if a step raised
-                if rdd is not None:
-                    rdd.unpersist()
+            # out is blocks unless a step raised before the swap: each RDD once.
+            for rdd in {blocks, out} - {None}:
+                rdd.unpersist()
             parts.value = {}
-            for bc in bcs:
-                bc.destroy()

@@ -1,5 +1,7 @@
-"""Kernel state: every kernel keeps the base state (``a``, ``x2``) and its
+"""Kernel state: every kernel keeps the base state (``a``, ``x2``), its
+``init_state`` holds only what the points determine, and its
 ``footprint`` counts all of its auxiliary state (Figure 10)."""
+import copy
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -56,3 +58,29 @@ def test_footprint_counts_all_state(setup, name):
     kernel = make_kernel(name)
     st = _state_after_two_iterations(X, C0, kernel)
     assert kernel.footprint(st) == sum(_nbytes(v) for key, v in st.items() if key != "a")
+
+
+def _same(u, v) -> bool:
+    """u equals v: arrays by dtype and values, trees field by field."""
+    if isinstance(u, np.ndarray):
+        return isinstance(v, np.ndarray) and u.dtype == v.dtype and np.array_equal(u, v)
+    if is_dataclass(u):
+        return type(u) is type(v) and all(
+            _same(getattr(u, f.name), getattr(v, f.name)) for f in fields(u)
+        )
+    return u == v
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_iteration0_keeps_init_state(setup, name):
+    """``init_state(X)`` keeps only what X determines: the iteration-0
+    assign rebinds ``a`` and creates its bounds and caches beside every
+    other entry, which stays the same object, unchanged."""
+    X, C0 = setup
+    kernel = make_kernel(name)
+    st = kernel.init_state(X)
+    before = {key: (v, copy.deepcopy(v)) for key, v in st.items() if key != "a"}
+    kernel.assign(X, st, make_ctx(C0, C0, 0, kernel.needs), Counters())
+    for key, (v, snap) in before.items():
+        assert st[key] is v, f"{key} was rebound"
+        assert _same(v, snap), f"{key} was changed"
